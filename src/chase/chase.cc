@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "base/check.h"
@@ -83,6 +84,33 @@ ObliviousChase::ObliviousChase(const Instance& database, RuleSet rules,
     }
     frontier_positions_.push_back(std::move(positions));
   }
+  heads_.reserve(rules_.size());
+  for (const Rule& rule : rules_) {
+    const std::vector<Term>& vars = rule.body_vars();
+    const std::vector<Term>& existentials = rule.existentials();
+    HeadProjection head;
+    for (const Atom& atom : rule.head()) {
+      std::vector<int> slots;
+      slots.reserve(atom.arity());
+      for (Term t : atom.args()) {
+        int slot = -1;
+        if (t.IsVariable()) {
+          auto it = std::find(vars.begin(), vars.end(), t);
+          if (it != vars.end()) {
+            slot = static_cast<int>(it - vars.begin());
+          } else {
+            it = std::find(existentials.begin(), existentials.end(), t);
+            BDDFC_CHECK(it != existentials.end());
+            slot = static_cast<int>(vars.size() + (it - existentials.begin()));
+          }
+        }
+        slots.push_back(slot);
+      }
+      head.atoms.push_back(atom);
+      head.slots.push_back(std::move(slots));
+    }
+    heads_.push_back(std::move(head));
+  }
   if (options_.variant == ChaseVariant::kRestricted) {
     // Cached head searches (they see every atom appended to instance_),
     // shared by the serial check and the concurrent precheck.
@@ -111,6 +139,8 @@ ObliviousChase::ObliviousChase(const Instance& database, RuleSet rules,
   } else {
     scheduler_ = RuleScheduler::Flat(rules_.size());
   }
+  use_ledger_ = options_.variant == ChaseVariant::kSemiOblivious ||
+                options_.naive_enumeration;
   metrics_ = obs::ResolveMetrics(exec_.metrics);
   metric_step_ = metrics_->GetGauge("chase.step");
   metric_atoms_ = metrics_->GetGauge("chase.atoms");
@@ -125,118 +155,163 @@ std::size_t ObliviousChase::TriggersFired() const {
 
 ObliviousChase::~ObliviousChase() = default;
 
-bool ObliviousChase::HeadSatisfied(
-    const exec::TriggerCandidate& candidate) const {
-  const Rule& rule = rules_[candidate.rule_index];
+bool ObliviousChase::HeadSatisfied(std::size_t rule,
+                                   const Term* image) const {
+  const std::vector<Term>& frontier = rules_[rule].frontier();
+  const std::vector<std::size_t>& positions = frontier_positions_[rule];
   Substitution frontier_seed;
-  const std::vector<std::size_t>& positions =
-      frontier_positions_[candidate.rule_index];
-  for (std::size_t i = 0; i < rule.frontier().size(); ++i) {
-    frontier_seed.Bind(rule.frontier()[i],
-                       candidate.body_image[positions[i]]);
+  for (std::size_t i = 0; i < frontier.size(); ++i) {
+    frontier_seed.Bind(frontier[i], image[positions[i]]);
   }
-  return head_searches_[candidate.rule_index].Exists(frontier_seed);
+  return head_searches_[rule].Exists(frontier_seed);
+}
+
+ObliviousChase::TriggerKey ObliviousChase::KeyOf(std::size_t rule,
+                                                 const Term* image) const {
+  TriggerKey key{rule, {}};
+  if (options_.variant == ChaseVariant::kSemiOblivious) {
+    const std::vector<std::size_t>& positions = frontier_positions_[rule];
+    key.second.reserve(positions.size());
+    for (std::size_t p : positions) key.second.push_back(image[p]);
+  } else {
+    key.second.assign(image, image + rules_[rule].body_vars().size());
+  }
+  return key;
+}
+
+void ObliviousChase::Fire(std::size_t rule_index, const Term* image,
+                          int step) {
+  const Rule& rule = rules_[rule_index];
+  const std::vector<Term>& vars = rule.body_vars();
+  const std::vector<Term>& existentials = rule.existentials();
+  slot_values_.assign(image, image + vars.size());
+  for (std::size_t e = 0; e < existentials.size(); ++e) {
+    slot_values_.push_back(universe()->FreshNull());
+  }
+  // The trigger homomorphism h' (body variables + existentials) as a
+  // Substitution, built only once a new atom or null records it.
+  std::optional<Substitution> trigger;
+  const auto trigger_of = [&]() -> const Substitution& {
+    if (!trigger.has_value()) {
+      trigger.emplace();
+      for (std::size_t i = 0; i < vars.size(); ++i) {
+        trigger->Bind(vars[i], slot_values_[i]);
+      }
+      for (std::size_t e = 0; e < existentials.size(); ++e) {
+        trigger->Bind(existentials[e], slot_values_[vars.size() + e]);
+      }
+    }
+    return *trigger;
+  };
+  HeadProjection& head = heads_[rule_index];
+  for (std::size_t k = 0; k < head.atoms.size(); ++k) {
+    Atom& out = head.atoms[k];
+    const std::vector<int>& slots = head.slots[k];
+    for (std::size_t j = 0; j < slots.size(); ++j) {
+      if (slots[j] >= 0) out.set_arg(j, slot_values_[slots[j]]);
+    }
+    if (!instance_.AddAtom(out)) continue;
+    atom_step_.push_back(step);
+    AtomProvenance provenance;
+    provenance.database = false;
+    provenance.step = step;
+    provenance.rule_index = rule_index;
+    provenance.trigger = trigger_of();
+    atom_provenance_.push_back(std::move(provenance));
+  }
+  for (std::size_t e = 0; e < existentials.size(); ++e) {
+    ChaseTermInfo info;
+    info.timestamp = step;
+    info.rule_index = rule_index;
+    info.trigger = trigger_of();
+    for (std::size_t p : frontier_positions_[rule_index]) {
+      info.frontier.push_back(image[p]);
+    }
+    term_info_.emplace(slot_values_[vars.size() + e], std::move(info));
+  }
 }
 
 ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
-  // Phase 1 — enumerate the triggers that became available last step and
-  // have not fired. After the first step the delta-driven (semi-naive)
-  // enumerator only searches for body images anchored in the atoms the
-  // previous step appended: a trigger is new on Ch_n precisely when at least
-  // one of its body atoms maps into the delta [count(n-1), count(n)), so
-  // nothing is missed and nothing old is re-derived. With naive_enumeration
-  // every homomorphism is re-enumerated and filtered against fired_; both
-  // paths collect the same candidate set. With num_threads > 1 the same
-  // enumeration fans out over the executor's pool — the instance and the
-  // fired_ set are read-only until the firing phase, and the canonical sort
-  // below erases the nondeterministic batch order.
-  using exec::TriggerCandidate;
+  // Phase 1 — enumerate the round's candidate triggers as flat rows (rule,
+  // body image). After the first round the delta-driven (semi-naive)
+  // enumerator only searches for body images anchored in the window
+  // [delta_cursor_, size) of atoms appended since the last completed
+  // round: a trigger is new precisely when at least one of its body atoms
+  // maps into that window, and the anchor decomposition finds each such
+  // trigger exactly once — nothing is missed and nothing old is
+  // re-derived. With naive_enumeration every homomorphism is re-enumerated
+  // and the fired ledger filters the old ones out. With num_threads > 1
+  // the same enumeration fans out over the executor's pool — the instance
+  // is read-only until the firing phase, and the canonical sort below
+  // erases the nondeterministic batch order.
   BDDFC_OBS_SPAN(step_span, "chase", "chase.step");
   step_span.Arg("step", steps_executed_ + 1);
-  std::vector<TriggerCandidate> candidates;
-  const bool semi = options_.variant == ChaseVariant::kSemiOblivious;
-  const bool delta_mode = !options_.naive_enumeration && steps_executed_ > 0;
-  const std::uint32_t delta_begin =
-      delta_mode
-          ? static_cast<std::uint32_t>(atoms_at_step_[steps_executed_ - 1])
-          : 0;
+  const bool full = options_.naive_enumeration || delta_cursor_ == 0;
   const std::uint32_t delta_end =
       static_cast<std::uint32_t>(instance_.size());
   // The scheduler decides which rules enumerate this round and with which
-  // window: the flat schedule hands every rule the global window computed
-  // above (bit-identical to the pre-scheduler loop); the stratified one
-  // plans only the active strata's rules, each at its own delta cursor.
+  // window: the flat schedule hands every rule the global window above;
+  // the stratified one plans only the active strata's rules, each at its
+  // own delta cursor.
   const std::vector<exec::RuleJob> jobs =
-      scheduler_->PlanRound(!delta_mode, delta_begin, instance_);
-  // Trigger identity: full body image for the oblivious/restricted
-  // chases, frontier image only for the semi-oblivious (skolem) one.
-  const auto collect = [&](std::size_t r, const Substitution& h,
-                           std::vector<TriggerCandidate>* batch) {
-    const Rule& rule = rules_[r];
-    const std::vector<Term>& id_vars =
-        semi ? rule.frontier() : rule.body_vars();
-    TriggerKey probe{r, {}};
-    probe.second.reserve(id_vars.size());
-    for (Term v : id_vars) probe.second.push_back(h.Apply(v));
-    if (fired_.find(probe) != fired_.end()) return;
-    TriggerCandidate c{r, {}};
-    c.body_image.reserve(rule.body_vars().size());
-    for (Term v : rule.body_vars()) c.body_image.push_back(h.Apply(v));
-    batch->push_back(std::move(c));
-  };
+      scheduler_->PlanRound(full, full ? 0 : delta_cursor_, instance_);
+  exec::TriggerRows rows;
   BDDFC_OBS_SPAN(enumerate_span, "chase", "chase.enumerate");
   if (segment_ != nullptr) {
     // Segment-at-a-time enumeration: one bulk merge-join plan execution
-    // per (rule, anchor) yields the step's whole candidate segment, which
-    // is then filtered against the fired ledger — the same candidate set
-    // the trigger-at-a-time paths below collect, so the firing phase (and
-    // hence the whole chase) is bit-identical across engines. Note the
-    // engine is inherently delta-driven; naive_enumeration degrades it to
-    // a full [0, size) enumeration via a `full` job, matching the naive
-    // trigger engine's re-enumerate-and-filter semantics.
-    std::vector<TriggerCandidate> raw;
+    // per (rule, anchor) writes the step's whole candidate segment — the
+    // same candidate set the trigger-at-a-time paths below collect, so
+    // the firing phase (and hence the whole chase) is bit-identical
+    // across engines. The engine is inherently delta-driven;
+    // naive_enumeration degrades it to a full [0, size) enumeration via a
+    // `full` job, matching the naive trigger engine.
     segment_->CollectJobs(jobs, delta_end,
                           parallel_ != nullptr ? parallel_->pool() : nullptr,
-                          &raw);
-    candidates.reserve(raw.size());
-    for (TriggerCandidate& c : raw) {
-      TriggerKey probe{c.rule_index, {}};
-      if (semi) {
-        const std::vector<std::size_t>& positions =
-            frontier_positions_[c.rule_index];
-        probe.second.reserve(positions.size());
-        for (std::size_t p : positions) {
-          probe.second.push_back(c.body_image[p]);
-        }
-      } else {
-        probe.second = c.body_image;
-      }
-      if (fired_.find(probe) != fired_.end()) continue;
-      candidates.push_back(std::move(c));
-    }
-  } else if (parallel_ != nullptr) {
-    parallel_->CollectJobs(&rule_searches_, jobs, delta_end, collect,
-                           &candidates);
+                          &rows);
   } else {
-    for (const exec::RuleJob& job : jobs) {
-      const std::size_t r = job.rule_index;
-      BDDFC_OBS_SPAN(search_span, "chase", "chase.hom_search");
-      search_span.Arg("rule", r);
-      const auto visit = [&](const Substitution& h) {
-        collect(r, h, &candidates);
-        return true;
-      };
-      if (job.full) {
-        rule_searches_[r].ForEach({}, visit);
-      } else {
-        rule_searches_[r].ForEachDelta({}, job.delta_begin, delta_end,
-                                       visit);
+    const auto collect = [this](std::size_t r, const Substitution& h,
+                                exec::TriggerRows* batch) {
+      const std::vector<Term>& vars = rules_[r].body_vars();
+      Term* image = batch->Append(r, vars.size());
+      for (std::size_t i = 0; i < vars.size(); ++i) image[i] = h.Apply(vars[i]);
+    };
+    if (parallel_ != nullptr) {
+      parallel_->CollectJobs(&rule_searches_, jobs, delta_end, collect,
+                             &rows);
+    } else {
+      for (const exec::RuleJob& job : jobs) {
+        const std::size_t r = job.rule_index;
+        BDDFC_OBS_SPAN(search_span, "chase", "chase.hom_search");
+        search_span.Arg("rule", r);
+        const auto visit = [&](const Substitution& h) {
+          collect(r, h, &rows);
+          return true;
+        };
+        if (job.full) {
+          rule_searches_[r].ForEach({}, visit);
+        } else {
+          rule_searches_[r].ForEachDelta({}, job.delta_begin, delta_end,
+                                         visit);
+        }
       }
     }
   }
-  enumerate_span.Arg("candidates", candidates.size()).End();
+  enumerate_span.Arg("candidates", rows.size()).End();
 
-  // Phase 2 — canonical firing order. Sorting by (rule, body image) makes
+  // Phase 2 — where the ledger is kept (or a cancelled round seeded it,
+  // see below), drop the candidates whose identity already fired.
+  if (use_ledger_ || !fired_.empty()) {
+    BDDFC_OBS_SPAN(ledger_span, "chase", "chase.ledger_filter");
+    if (!fired_.empty()) {
+      rows.Filter([&](std::size_t i) {
+        return fired_.find(KeyOf(rows.rule(i), rows.image(i))) ==
+               fired_.end();
+      });
+    }
+    ledger_span.Arg("kept", rows.size()).End();
+  }
+
+  // Phase 3 — canonical firing order. Sorting by (rule, body image) makes
   // the step independent of enumeration order, so the naive, semi-naive
   // and parallel engines produce bit-identical instances, null names and
   // provenance. The stratified schedule refines the order with the
@@ -244,40 +319,36 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
   // restricted variant sees alternative head matches in time to skip the
   // triggers they pre-empt (still deterministic — rank, then the
   // canonical key).
-  const std::vector<std::size_t>* ranks = scheduler_->FiringRanks();
-  if (ranks == nullptr) {
-    exec::SortCanonical(&candidates);
-  } else {
-    std::sort(candidates.begin(), candidates.end(),
-              [&](const TriggerCandidate& a, const TriggerCandidate& b) {
-                if ((*ranks)[a.rule_index] != (*ranks)[b.rule_index]) {
-                  return (*ranks)[a.rule_index] < (*ranks)[b.rule_index];
-                }
-                return exec::CanonicalTriggerLess(a, b);
-              });
-  }
+  BDDFC_OBS_SPAN(sort_span, "chase", "chase.sort");
+  exec::SortCanonical(&rows, scheduler_->FiringRanks());
+  sort_span.Arg("rows", rows.size()).End();
 
   // Restricted precheck: satisfaction is monotone (the instance only
   // grows), so any candidate whose head is satisfied *now* — before this
   // step fires anything — would also be skipped by the serial check. The
   // firing loop trusts positive prechecks and re-checks negatives only
   // once the step has added atoms.
+  const bool restricted = options_.variant == ChaseVariant::kRestricted;
   std::vector<char> satisfied_at_start;
-  if (parallel_ != nullptr &&
-      options_.variant == ChaseVariant::kRestricted && !candidates.empty()) {
+  if (parallel_ != nullptr && restricted && !rows.empty()) {
     parallel_->ParallelCheck(
-        candidates,
-        [this](const TriggerCandidate& c) { return HeadSatisfied(c); },
+        rows.size(),
+        [&](std::size_t i) {
+          return HeadSatisfied(rows.rule(i), rows.image(i));
+        },
         &satisfied_at_start);
   }
   const std::size_t step_start_size = instance_.size();
 
+  // Phase 4 — fire, in canonical order: project each trigger's head atoms
+  // out of its row (HeadProjection) and insert them.
   StepOutcome outcome;
   BDDFC_OBS_SPAN(fire_span, "chase", "chase.fire");
+  const int step = static_cast<int>(steps_executed_) + 1;
   std::size_t fired_this_step = 0;
   std::vector<std::size_t> round_fired(rules_.size(), 0);
-  for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-    const TriggerCandidate& candidate = candidates[ci];
+  std::size_t ci = 0;
+  for (; ci < rows.size(); ++ci) {
     if (instance_.size() >= exec_.max_atoms) {
       hit_bounds_ = true;
       outcome.truncated = true;
@@ -290,66 +361,32 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
       outcome.truncated = true;
       break;
     }
-    const Rule& rule = rules_[candidate.rule_index];
-    Substitution h;
-    for (std::size_t i = 0; i < rule.body_vars().size(); ++i) {
-      h.Bind(rule.body_vars()[i], candidate.body_image[i]);
-    }
-    TriggerKey key{candidate.rule_index, {}};
-    const std::vector<Term>& id_vars =
-        semi ? rule.frontier() : rule.body_vars();
-    key.second.reserve(id_vars.size());
-    for (Term v : id_vars) key.second.push_back(h.Apply(v));
-    // Claims the key: duplicates within the step (possible under the
+    const std::size_t r = rows.rule(ci);
+    const Term* image = rows.image(ci);
+    // Claims the identity: duplicates within the step (possible under the
     // semi-oblivious identity) are skipped, keeping the canonically
     // smallest trigger as the representative.
-    if (!fired_.insert(std::move(key)).second) continue;
+    if (use_ledger_ && !fired_.insert(KeyOf(r, image)).second) continue;
 
-    if (options_.variant == ChaseVariant::kRestricted) {
-      // Fire only if no extension of h already satisfies the head. The
-      // parallel precheck answers this against the step-start instance;
-      // that answer stands unless atoms were fired in between (a satisfied
-      // head stays satisfied, an unsatisfied one must be re-checked).
+    if (restricted) {
+      // Fire only if no extension of the trigger already satisfies the
+      // head. The parallel precheck answers this against the step-start
+      // instance; that answer stands unless atoms were fired in between (a
+      // satisfied head stays satisfied, an unsatisfied one must be
+      // re-checked).
       bool satisfied;
       if (!satisfied_at_start.empty()) {
         satisfied = satisfied_at_start[ci] != 0 ||
                     (instance_.size() != step_start_size &&
-                     HeadSatisfied(candidate));
+                     HeadSatisfied(r, image));
       } else {
-        satisfied = HeadSatisfied(candidate);
+        satisfied = HeadSatisfied(r, image);
       }
       if (satisfied) continue;  // never reconsider
     }
 
-    // Extend h with fresh nulls for the existential variables.
-    std::vector<Term> fresh;
-    for (Term z : rule.existentials()) {
-      Term null = universe()->FreshNull();
-      h.Bind(z, null);
-      fresh.push_back(null);
-    }
-    const int step = static_cast<int>(steps_executed_) + 1;
-    for (const Atom& head_atom : rule.head()) {
-      Atom out = h.Apply(head_atom);
-      if (instance_.AddAtom(out)) {
-        atom_step_.push_back(step);
-        AtomProvenance provenance;
-        provenance.database = false;
-        provenance.step = step;
-        provenance.rule_index = candidate.rule_index;
-        provenance.trigger = h;
-        atom_provenance_.push_back(std::move(provenance));
-      }
-    }
-    for (Term null : fresh) {
-      ChaseTermInfo info;
-      info.timestamp = step;
-      info.rule_index = candidate.rule_index;
-      info.trigger = h;
-      for (Term v : rule.frontier()) info.frontier.push_back(h.Apply(v));
-      term_info_.emplace(null, std::move(info));
-    }
-    ++round_fired[candidate.rule_index];
+    Fire(r, image, step);
+    ++round_fired[r];
     outcome.fired = true;
     // Refresh the live-atom gauge periodically so the progress heartbeat
     // tracks long firing phases, not just step boundaries.
@@ -367,6 +404,20 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
   // schedule's cursors and saturation flags (skipped when the atom budget
   // truncated the firing phase — unfired candidates must stay findable).
   scheduler_->OnRoundEnd(delta_end, round_fired, outcome.truncated);
+  if (!outcome.truncated) {
+    // The next round's window starts past the atoms this one enumerated;
+    // any identities a cancelled round recorded can no longer come up.
+    delta_cursor_ = delta_end;
+    if (!use_ledger_) fired_.clear();
+  } else if (!use_ledger_ && !hit_bounds_) {
+    // Cancelled mid-round (the atom budget's truncation is final): the
+    // window cursors stay put, so a resumed run enumerates this round's
+    // window again. Record the triggers it already passed so they do not
+    // fire twice.
+    for (std::size_t i = 0; i < ci; ++i) {
+      fired_.insert(KeyOf(rows.rule(i), rows.image(i)));
+    }
+  }
   return outcome;
 }
 
@@ -407,13 +458,13 @@ std::size_t ObliviousChase::AddBaseFacts(const std::vector<Atom>& facts) {
     ++added;
   }
   if (added == 0) return 0;
-  // The appended atoms extend the newest delta segment: the next StepOnce
-  // enumerates [atoms_at_step_[steps-1], size), which covers them (plus the
-  // previous step's atoms, whose triggers the fired_ ledger filters). With
-  // no steps executed yet the first step enumerates the full instance
-  // anyway. Keeping the per-step atom counts consistent, the inserted facts
-  // count into the segment of the last executed step (they are step-0
-  // database atoms individually, see StepOfAtom).
+  // The appended atoms sit above delta_cursor_, so the next StepOnce's
+  // window [delta_cursor_, size) covers them — plus, when the last round
+  // stopped at the step bound, the pending atoms of the last step, whose
+  // window was never enumerated. Before the first round the full instance
+  // is enumerated anyway. Keeping the per-step atom counts consistent,
+  // the inserted facts count into the segment of the last executed step
+  // (they are step-0 database atoms individually, see StepOfAtom).
   atoms_at_step_.back() = instance_.size();
   metric_atoms_->Set(static_cast<std::int64_t>(instance_.size()));
   obs::Instant("chase", "chase.add_base_facts", "added", added);

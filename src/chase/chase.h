@@ -38,7 +38,6 @@ class SegmentEngine;
 
 namespace exec {
 class ParallelChase;
-struct TriggerCandidate;
 }  // namespace exec
 
 namespace obs {
@@ -157,10 +156,11 @@ class ObliviousChase {
   /// Incremental insertion: appends `facts` (atoms over constants or nulls,
   /// never variables) to the instance as database atoms and re-arms the
   /// chase, so the next RunSteps resumes from the existing materialization
-  /// instead of re-chasing from scratch. The new atoms join the newest
-  /// delta segment: the delta-driven enumerator finds exactly the triggers
-  /// whose body image uses at least one of them (already-fired triggers are
-  /// filtered by the trigger ledger). Returns the number of atoms actually
+  /// instead of re-chasing from scratch. The new atoms land above the
+  /// delta cursor (every completed round advances it past the atoms it
+  /// enumerated), so the next round's delta-driven enumerator finds exactly
+  /// the triggers whose body image uses at least one of them — each once,
+  /// and none that already fired. Returns the number of atoms actually
   /// added; atoms already present (database or derived) are skipped.
   /// Clears Saturated() when anything was added; HitBounds() is sticky — an
   /// atom-budget-stopped chase stays stopped. For the oblivious and
@@ -174,7 +174,7 @@ class ObliviousChase {
   /// to its skolem term f<rule>_<existential>(identity images...), built
   /// recursively from the creating trigger (identity = body image for the
   /// oblivious/restricted variants, frontier image for the semi-oblivious
-  /// one, matching the trigger ledger), and the atom strings are returned
+  /// one, matching the trigger identity), and the atom strings are returned
   /// sorted. Two chases of the same rules agree on CanonicalAtoms() iff
   /// their results are equal up to null renaming — the yardstick the
   /// incremental-vs-scratch differential tests compare with. Intended for
@@ -261,11 +261,22 @@ class ObliviousChase {
   const RuleSet& rules() const { return rules_; }
 
  private:
-  // Canonical identity of a trigger: rule index + images of body variables
-  // in rule-variable order.
+  // Identity of a trigger in the fired ledger: rule index + the images of
+  // the identity variables (body_vars() for the oblivious/restricted
+  // variants, frontier() for the semi-oblivious one).
   using TriggerKey = std::pair<std::size_t, std::vector<Term>>;
   struct TriggerKeyHash {
     std::size_t operator()(const TriggerKey& k) const;
+  };
+
+  // A rule head compiled into a projection over trigger slots: slot i <
+  // |body_vars()| is body image term i, slot |body_vars()| + e is the
+  // fresh null of existentials()[e]. atoms[k] is a scratch copy of head
+  // atom k; firing overwrites each argument j with slots[k][j] >= 0 and
+  // leaves constants (slot -1) as they are.
+  struct HeadProjection {
+    std::vector<Atom> atoms;
+    std::vector<std::vector<int>> slots;
   };
 
   struct StepOutcome {
@@ -274,10 +285,19 @@ class ObliviousChase {
   };
   StepOutcome StepOnce();
 
-  // Restricted variant: true iff the head of `candidate`'s rule is already
-  // satisfied by an extension of the trigger's frontier image. Read-only
-  // and thread-safe (runs concurrently from the parallel precheck).
-  bool HeadSatisfied(const exec::TriggerCandidate& candidate) const;
+  // Fires the trigger of rule `rule` with body image `image` at chase step
+  // `step`: invents its nulls, projects and inserts its head atoms, and
+  // records provenance for every new atom and null.
+  void Fire(std::size_t rule, const Term* image, int step);
+
+  // The ledger key of the trigger of rule `rule` with body image `image`.
+  TriggerKey KeyOf(std::size_t rule, const Term* image) const;
+
+  // Restricted variant: true iff the head of rule `rule` is already
+  // satisfied by an extension of the frontier image of body image `image`.
+  // Read-only and thread-safe (runs concurrently from the parallel
+  // precheck).
+  bool HeadSatisfied(std::size_t rule, const Term* image) const;
 
   // The resolved execution configuration (declared before instance_: the
   // constructor resolves it first and builds the instance from its storage
@@ -294,9 +314,13 @@ class ObliviousChase {
   std::vector<HomSearch> head_searches_;
   // Positions of each rule's frontier variables within body_vars() — seeds
   // the restricted head check straight from a candidate's body image, and
-  // derives the semi-oblivious trigger identity from segment-engine
-  // candidates.
+  // projects the semi-oblivious trigger identity and the frontier
+  // provenance out of it.
   std::vector<std::vector<std::size_t>> frontier_positions_;
+  // One compiled head projection per rule, and the firing scratch holding
+  // a trigger's slot values (body image, then fresh nulls).
+  std::vector<HeadProjection> heads_;
+  std::vector<Term> slot_values_;
   // Parallel executor (null when num_threads_ == 1: the serial path).
   std::size_t num_threads_ = 1;
   std::unique_ptr<exec::ParallelChase> parallel_;
@@ -308,6 +332,20 @@ class ObliviousChase {
   bool saturated_ = false;
   bool hit_bounds_ = false;
   bool last_step_truncated_ = false;
+  // Start of the next round's delta window: every completed round
+  // advances it to the instance size it enumerated against, so no window
+  // is enumerated twice. 0 until the first round, which enumerates the
+  // full instance.
+  std::uint32_t delta_cursor_ = 0;
+  // The fired ledger, kept only where a trigger identity can come up
+  // again: the semi-oblivious identity (many body images share one
+  // frontier image) and naive enumeration (every round re-enumerates
+  // everything). Elsewhere the semi-naive windows — the flat cursor above
+  // or the stratified schedule's per-rule cursors — find each trigger
+  // exactly once; only a cancelled round, whose window a resumed run
+  // enumerates again, records its fired identities there until the next
+  // round completes.
+  bool use_ledger_ = false;
   std::unordered_set<TriggerKey, TriggerKeyHash> fired_;
   // Metrics instruments (resolved from exec_.metrics; never null). The
   // gauges are updated mid-step so the progress heartbeat sees live

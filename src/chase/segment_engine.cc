@@ -159,8 +159,7 @@ void SegmentEngine::ExecuteAnchor(std::size_t rule_index,
                                   const SegmentAnchorPlan& anchor_plan,
                                   std::uint32_t delta_begin,
                                   std::uint32_t delta_end,
-                                  std::vector<exec::TriggerCandidate>* out)
-    const {
+                                  exec::TriggerRows* out) const {
   using Kind = SegmentJoinStep::Kind;
   using Range = SegmentJoinStep::Range;
   // One span per (rule, anchor) plan execution — the segment engine's unit
@@ -168,7 +167,6 @@ void SegmentEngine::ExecuteAnchor(std::size_t rule_index,
   // lock-free.
   BDDFC_OBS_SPAN(anchor_span, "chase", "segment.anchor");
   anchor_span.Arg("rule", rule_index);
-  const std::size_t out_before = out->size();
   const FactStore& store = instance_->store();
   const std::vector<Atom>& all = store.atoms();
   const std::size_t width = anchor_plan.num_slots;
@@ -303,33 +301,18 @@ void SegmentEngine::ExecuteAnchor(std::size_t rule_index,
   }
 
   // Project each surviving tuple onto the rule's canonical body image.
-  out->reserve(out->size() + count);
+  const std::vector<int>& slots = anchor_plan.body_var_slots;
   for (std::size_t i = 0; i < count; ++i) {
     const Term* tuple = tuples.data() + i * width;
-    exec::TriggerCandidate candidate{rule_index, {}};
-    candidate.body_image.reserve(anchor_plan.body_var_slots.size());
-    for (const int slot : anchor_plan.body_var_slots) {
-      candidate.body_image.push_back(tuple[slot]);
-    }
-    out->push_back(std::move(candidate));
+    Term* image = out->Append(rule_index, slots.size());
+    for (std::size_t v = 0; v < slots.size(); ++v) image[v] = tuple[slots[v]];
   }
-  anchor_span.Arg("candidates", out->size() - out_before);
-}
-
-void SegmentEngine::Collect(std::uint32_t delta_begin,
-                            std::uint32_t delta_end, ThreadPool* pool,
-                            std::vector<exec::TriggerCandidate>* out) const {
-  std::vector<exec::RuleJob> jobs;
-  jobs.reserve(plans_.size());
-  for (std::size_t r = 0; r < plans_.size(); ++r) {
-    jobs.push_back({r, delta_begin == 0, delta_begin});
-  }
-  CollectJobs(jobs, delta_end, pool, out);
+  anchor_span.Arg("candidates", count);
 }
 
 void SegmentEngine::CollectJobs(
     const std::vector<exec::RuleJob>& jobs, std::uint32_t delta_end,
-    ThreadPool* pool, std::vector<exec::TriggerCandidate>* out) const {
+    ThreadPool* pool, exec::TriggerRows* out) const {
   // One work unit per (job, anchor) plan. A full job — a rule's first
   // enumeration, searching the whole prefix as its delta — runs only the
   // anchor-0 plan (anchors > 0 require an earlier body atom strictly below
@@ -355,9 +338,9 @@ void SegmentEngine::CollectJobs(
     }
     return;
   }
-  // Private per-unit batches, concatenated in unit order; the caller's
+  // Private per-unit batches, spliced in unit order; the caller's
   // canonical sort erases any residual order sensitivity anyway.
-  std::vector<std::vector<exec::TriggerCandidate>> batches(units.size());
+  std::vector<exec::TriggerRows> batches(units.size());
   ParallelFor(pool, 0, units.size(), 1,
               [&](std::size_t begin, std::size_t end) {
                 for (std::size_t i = begin; i < end; ++i) {
@@ -366,10 +349,7 @@ void SegmentEngine::CollectJobs(
                                 &batches[i]);
                 }
               });
-  for (std::vector<exec::TriggerCandidate>& batch : batches) {
-    out->insert(out->end(), std::make_move_iterator(batch.begin()),
-                std::make_move_iterator(batch.end()));
-  }
+  for (exec::TriggerRows& batch : batches) out->Splice(std::move(batch));
 }
 
 }  // namespace bddfc

@@ -91,8 +91,8 @@ struct SegmentAnchorPlan {
   std::size_t anchor = 0;  // body index of the delta-driving atom
   std::vector<SegmentJoinStep> steps;
   std::size_t num_slots = 0;  // width of the intermediate tuples
-  /// Slot of body_vars()[i] — the final projection into a
-  /// TriggerCandidate's canonical body image.
+  /// Slot of body_vars()[i] — the final projection into a trigger row's
+  /// canonical body image.
   std::vector<int> body_var_slots;
 };
 
@@ -116,32 +116,23 @@ class SegmentEngine {
     return plans_[rule_index];
   }
 
-  /// Appends to `out` every body homomorphism (as a TriggerCandidate body
-  /// image) that is new for the step whose delta segment is
-  /// [delta_begin, delta_end). With delta_begin == 0 this is the full
-  /// first-step enumeration (only anchor-0 plans run). When `pool` is
-  /// non-null the (rule, anchor) plan executions fan out over it; the
-  /// caller's canonical sort erases the nondeterministic batch order.
-  /// Read-only with respect to the instance.
-  void Collect(std::uint32_t delta_begin, std::uint32_t delta_end,
-               ThreadPool* pool,
-               std::vector<exec::TriggerCandidate>* out) const;
-
-  /// Job-based variant: each rule runs with its own delta window, as
-  /// planned by a RuleScheduler. A `full` job executes only the rule's
+  /// Appends to `out`, as flat body-image rows, every body homomorphism
+  /// that is new for the round: each rule runs with its own delta window,
+  /// as planned by a RuleScheduler. A `full` job executes only the rule's
   /// anchor-0 plan over [0, delta_end) (the first-step enumeration); a
-  /// delta job executes every anchor plan over
-  /// [job.delta_begin, delta_end). Collect(b, e, ...) is exactly
-  /// CollectJobs with one job per rule and a common window.
+  /// delta job executes every anchor plan over [job.delta_begin,
+  /// delta_end). When `pool` is non-null the (rule, anchor) plan
+  /// executions fan out over it; the caller's canonical sort erases the
+  /// nondeterministic batch order. Read-only with respect to the instance.
   void CollectJobs(const std::vector<exec::RuleJob>& jobs,
                    std::uint32_t delta_end, ThreadPool* pool,
-                   std::vector<exec::TriggerCandidate>* out) const;
+                   exec::TriggerRows* out) const;
 
  private:
   void ExecuteAnchor(std::size_t rule_index,
                      const SegmentAnchorPlan& anchor_plan,
                      std::uint32_t delta_begin, std::uint32_t delta_end,
-                     std::vector<exec::TriggerCandidate>* out) const;
+                     exec::TriggerRows* out) const;
 
   const Instance* instance_;
   const RuleSet* rules_;

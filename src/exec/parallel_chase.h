@@ -5,14 +5,15 @@
 // previous step appended, against an instance that is read-only until the
 // step's firing phase. That shape decomposes into independent
 // (rule × delta-anchor × delta-chunk) homomorphism searches, which this
-// engine fans out over a work-stealing ThreadPool. Workers collect trigger
-// candidates into private batches; the batches are concatenated and merged
-// into the canonical (rule, body-image) firing order — the same order the
-// serial engine sorts into — so the parallel chase is bit-identical to the
-// serial one (atoms, trigger sequence, provenance, fresh-null numbering)
-// at any thread count. Firing itself stays serial: it is the only phase
-// that mutates the instance and the universe, and it is a small fraction
-// of a step's work on the wide steps where parallelism pays off.
+// engine fans out over a work-stealing ThreadPool. Workers write trigger
+// candidates as flat rows (TriggerRows) into private batches; the batches
+// are spliced together and sorted into the canonical (rule, body-image)
+// firing order — the same order the serial engine sorts into — so the
+// parallel chase is bit-identical to the serial one (atoms, trigger
+// sequence, provenance, fresh-null numbering) at any thread count. Firing
+// itself stays serial: it is the only phase that mutates the instance and
+// the universe, and it is a small fraction of a step's work on the wide
+// steps where parallelism pays off.
 //
 // The restricted variant's satisfaction check is also parallelized, via a
 // monotonicity argument: instances only grow, so a trigger whose head is
@@ -26,6 +27,7 @@
 #ifndef BDDFC_EXEC_PARALLEL_CHASE_H_
 #define BDDFC_EXEC_PARALLEL_CHASE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -39,13 +41,56 @@
 namespace bddfc {
 namespace exec {
 
-/// One enumerated trigger candidate: a rule and the images of the rule's
-/// body_vars() in rule-variable order. The body image doubles as the
-/// canonical merge key and as the material to rebuild the trigger
-/// homomorphism.
-struct TriggerCandidate {
-  std::size_t rule_index = 0;
-  std::vector<Term> body_image;
+/// A step's trigger candidates as flat rows. Every candidate's body image
+/// (the images of its rule's body_vars(), in rule-variable order) lives in
+/// one shared term arena; a row is just (rule, offset into the arena), and
+/// every row of a rule has that rule's body width. The body image doubles
+/// as the canonical sort key and as the material the firing phase projects
+/// head atoms from.
+class TriggerRows {
+ public:
+  struct Row {
+    std::uint32_t rule = 0;
+    std::uint32_t offset = 0;  // first image term in the arena
+  };
+
+  /// Appends a row of `width` image terms for `rule` and returns the
+  /// slots to fill (valid until the next Append). CHECK-fails when a rule
+  /// is appended with two different widths.
+  Term* Append(std::size_t rule, std::size_t width);
+
+  /// Moves every row of `other` behind this one's, in order.
+  void Splice(TriggerRows&& other);
+
+  /// Keeps exactly the rows i with keep(i), in their current order (the
+  /// arena is left alone).
+  template <typename Keep>
+  void Filter(const Keep& keep) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      if (keep(i)) rows_[kept++] = rows_[i];
+    }
+    rows_.resize(kept);
+  }
+
+  std::size_t size() const { return rows_.size(); }
+  bool empty() const { return rows_.empty(); }
+  std::size_t rule(std::size_t i) const { return rows_[i].rule; }
+  std::size_t width(std::size_t i) const { return widths_[rows_[i].rule]; }
+  const Term* image(std::size_t i) const {
+    return terms_.data() + rows_[i].offset;
+  }
+
+ private:
+  friend void SortCanonical(TriggerRows* rows,
+                            const std::vector<std::size_t>* ranks);
+
+  static constexpr std::uint32_t kNoWidth = UINT32_MAX;
+
+  std::vector<Term> terms_;
+  std::vector<Row> rows_;
+  // Body width per rule index; kNoWidth for rules without rows so far.
+  std::vector<std::uint32_t> widths_;
 };
 
 /// One rule's enumeration assignment for a chase round, as planned by a
@@ -63,17 +108,28 @@ struct RuleJob {
 };
 
 /// The canonical (rule, body-image) firing order shared by the serial and
-/// parallel engines.
-inline bool CanonicalTriggerLess(const TriggerCandidate& a,
-                                 const TriggerCandidate& b) {
-  if (a.rule_index != b.rule_index) return a.rule_index < b.rule_index;
-  return a.body_image < b.body_image;
+/// parallel engines: rule index first, then the body images
+/// lexicographically (terms compare by their raw bits).
+inline bool CanonicalTriggerLess(const TriggerRows& rows, std::size_t a,
+                                 std::size_t b) {
+  if (rows.rule(a) != rows.rule(b)) return rows.rule(a) < rows.rule(b);
+  const Term* x = rows.image(a);
+  const Term* y = rows.image(b);
+  return std::lexicographical_compare(x, x + rows.width(a), y,
+                                      y + rows.width(b));
 }
 
-/// Sorts candidates into the canonical firing order. Candidates comparing
-/// equal are structurally identical, so the result is deterministic
-/// regardless of input (i.e. enumeration/merge) order.
-void SortCanonical(std::vector<TriggerCandidate>* candidates);
+/// Sorts the rows into the canonical firing order: a stable bucket pass by
+/// rule gathers each rule's images into a fresh arena, then an LSD radix
+/// sort over each bucket's 32-bit term columns (byte digits, last column
+/// first; digits every row shares are skipped) reorders them, so the
+/// sorted rows also sit in arena order. With `ranks`, rule buckets are
+/// ordered by (ranks[rule], rule) instead of rule alone — the stratified
+/// schedule's restraint-first firing order. Rows comparing equal are
+/// identical candidates, so the resulting sequence does not depend on the
+/// input order.
+void SortCanonical(TriggerRows* rows,
+                   const std::vector<std::size_t>* ranks = nullptr);
 
 /// Per-step parallel executor owned by a chase engine. All methods are
 /// called from the chase's driving thread; they block until the fanned-out
@@ -82,14 +138,10 @@ void SortCanonical(std::vector<TriggerCandidate>* candidates);
 class ParallelChase {
  public:
   /// Collector invoked (concurrently, from pool workers) for every
-  /// enumerated body homomorphism of rule `rule_index`; it decides whether
-  /// to keep the trigger (e.g. by consulting the already-fired set, which
-  /// is frozen during enumeration) and appends kept candidates to `batch`.
-  /// Must be thread-safe: shared state it reads must not be mutated while
-  /// a collection call is in flight.
+  /// enumerated body homomorphism of rule `rule_index`; it appends the
+  /// trigger's row to `batch`. Must be thread-safe.
   using CollectFn = std::function<void(
-      std::size_t rule_index, const Substitution& h,
-      std::vector<TriggerCandidate>* batch)>;
+      std::size_t rule_index, const Substitution& h, TriggerRows* batch)>;
 
   /// Creates the executor with `num_threads` total execution threads: one
   /// is the caller (which participates while waiting), the rest are pool
@@ -109,40 +161,22 @@ class ParallelChase {
   /// The underlying pool, shared with HomSearch's pool-parallel queries.
   ThreadPool* pool() { return pool_; }
 
-  /// Parallel counterpart of the serial delta enumeration: appends to
-  /// `out` the same candidate multiset that running ForEachDelta(seed={},
-  /// [delta_begin, delta_end)) over every search in `searches` produces.
-  /// Work units are (rule, anchor, delta-chunk) triples; a step narrow
-  /// enough to yield a single unit runs inline on the caller.
-  void CollectDelta(std::vector<HomSearch>* searches,
-                    std::uint32_t delta_begin, std::uint32_t delta_end,
-                    const CollectFn& collect,
-                    std::vector<TriggerCandidate>* out);
-
-  /// Parallel counterpart of the full (first-step / naive) enumeration:
-  /// appends the candidate multiset of ForEach(seed={}) over every search.
-  /// Work units are (rule, first-atom-chunk) pairs over the target prefix
-  /// [0, target_size).
-  void CollectFull(std::vector<HomSearch>* searches,
-                   std::uint32_t target_size, const CollectFn& collect,
-                   std::vector<TriggerCandidate>* out);
-
   /// Job-based enumeration: appends the candidate multiset of running
   /// each job's search — ForEach-equivalent over [0, delta_end) for a
   /// `full` job, ForEachDelta-equivalent over [job.delta_begin, delta_end)
-  /// otherwise. With one job per rule and a common window this reproduces
-  /// CollectDelta / CollectFull exactly; the scheduler's per-rule windows
-  /// are the general case. Work units are (job, anchor, chunk) triples.
+  /// otherwise. Work units are (job, anchor, chunk) triples: a
+  /// qualifying homomorphism has exactly one anchor and one anchor image
+  /// index, so the units partition the enumeration. A step narrow enough
+  /// to yield a single unit runs inline on the caller.
   void CollectJobs(std::vector<HomSearch>* searches,
                    const std::vector<RuleJob>& jobs, std::uint32_t delta_end,
-                   const CollectFn& collect,
-                   std::vector<TriggerCandidate>* out);
+                   const CollectFn& collect, TriggerRows* out);
 
-  /// Parallel map over candidates: (*out)[i] = check(candidates[i]).
+  /// Parallel map over rows: (*out)[i] = check(i) for i < `count`.
   /// `check` runs concurrently and must be thread-safe and read-only with
   /// respect to shared state.
-  void ParallelCheck(const std::vector<TriggerCandidate>& candidates,
-                     const std::function<bool(const TriggerCandidate&)>& check,
+  void ParallelCheck(std::size_t count,
+                     const std::function<bool(std::size_t)>& check,
                      std::vector<char>* out);
 
  private:

@@ -29,6 +29,10 @@ class Atom {
   std::size_t arity() const { return args_.size(); }
   Term arg(std::size_t i) const { return args_[i]; }
 
+  /// Replaces argument `i` — for scratch atoms that are rewritten in place
+  /// instead of reallocated (the chase's head projection).
+  void set_arg(std::size_t i, Term t) { args_[i] = t; }
+
   bool IsNullary() const { return args_.empty(); }
   bool IsUnary() const { return args_.size() == 1; }
   bool IsBinary() const { return args_.size() == 2; }

@@ -294,6 +294,10 @@ TEST_F(ReasonerTest, AddFactsMatchesFromScratchChase) {
       EXPECT_EQ(maintained->CanonicalAtoms(), scratch.CanonicalAtoms())
           << "variant " << static_cast<int>(variant) << " seed " << seed;
       EXPECT_EQ(maintained->Result().size(), scratch.Result().size());
+      // Every trigger fires once either way: the maintained chase neither
+      // misses one nor fires one twice.
+      EXPECT_EQ(maintained->TriggersFired(), scratch.TriggersFired())
+          << "variant " << static_cast<int>(variant) << " seed " << seed;
       ++compared;
     }
     EXPECT_GE(compared, 3) << "variant " << static_cast<int>(variant);

@@ -103,19 +103,117 @@ TEST(ParallelForTest, NullPoolAndEmptyRangeAreFine) {
   EXPECT_EQ(sum, 4950u);
 }
 
+// Appends a row for `rule` with body image `image`.
+void AppendRow(exec::TriggerRows* rows, std::size_t rule,
+               const std::vector<Term>& image) {
+  Term* out = rows->Append(rule, image.size());
+  std::copy(image.begin(), image.end(), out);
+}
+
+// A rows object's (rule, body image) sequence, in row order.
+using RowList = std::vector<std::pair<std::size_t, std::vector<Term>>>;
+
+RowList RowsOf(const exec::TriggerRows& rows) {
+  RowList out;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    out.push_back({rows.rule(i), std::vector<Term>(rows.image(i),
+                                                   rows.image(i) +
+                                                       rows.width(i))});
+  }
+  return out;
+}
+
 TEST(SortCanonicalTest, OrdersByRuleThenBodyImage) {
   Universe u;
   Term a = u.InternConstant("a");
   Term b = u.InternConstant("b");
-  std::vector<exec::TriggerCandidate> candidates;
-  candidates.push_back({1, {a}});
-  candidates.push_back({0, {b, a}});
-  candidates.push_back({0, {a, b}});
-  exec::SortCanonical(&candidates);
-  EXPECT_EQ(candidates[0].rule_index, 0u);
-  EXPECT_EQ(candidates[0].body_image, (std::vector<Term>{a, b}));
-  EXPECT_EQ(candidates[1].body_image, (std::vector<Term>{b, a}));
-  EXPECT_EQ(candidates[2].rule_index, 1u);
+  exec::TriggerRows rows;
+  AppendRow(&rows, 1, {a});
+  AppendRow(&rows, 0, {b, a});
+  AppendRow(&rows, 0, {a, b});
+  exec::SortCanonical(&rows);
+  EXPECT_EQ(RowsOf(rows), (RowList{{0, {a, b}}, {0, {b, a}}, {1, {a}}}));
+}
+
+TEST(SortCanonicalTest, RanksOrderRuleBuckets) {
+  Universe u;
+  Term a = u.InternConstant("a");
+  Term b = u.InternConstant("b");
+  exec::TriggerRows rows;
+  AppendRow(&rows, 0, {b});
+  AppendRow(&rows, 1, {a});
+  AppendRow(&rows, 2, {a});
+  AppendRow(&rows, 0, {a});
+  const std::vector<std::size_t> ranks = {1, 0, 1};
+  exec::SortCanonical(&rows, &ranks);
+  EXPECT_EQ(RowsOf(rows),
+            (RowList{{1, {a}}, {0, {a}}, {0, {b}}, {2, {a}}}));
+}
+
+TEST(SortCanonicalTest, RadixSortMatchesComparisonSortOnRandomRows) {
+  // Mixed rules and body widths (including a ground body of width 0),
+  // many duplicate rows, and terms of every TermKind: the kind sits in
+  // the top bits, so the high radix digit is exercised, and indices span
+  // the lower bytes.
+  const std::size_t kWidths[] = {3, 1, 0, 2, 4};
+  const auto random_term = [](Rng* rng) {
+    const std::uint32_t index =
+        rng->Below(4) == 0 ? static_cast<std::uint32_t>(rng->Below(1u << 29))
+                           : static_cast<std::uint32_t>(rng->Below(300));
+    switch (rng->Below(3)) {
+      case 0:
+        return Term::MakeConstant(index);
+      case 1:
+        return Term::MakeVariable(index);
+      default:
+        return Term::MakeNull(index);
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    exec::TriggerRows rows;
+    const std::size_t count = 1 + rng.Below(2000);
+    for (std::size_t i = 0; i < count; ++i) {
+      if (i > 0 && rng.Below(3) == 0) {  // duplicate an earlier row
+        const std::size_t j = rng.Below(i);
+        const std::vector<Term> image(rows.image(j),
+                                      rows.image(j) + rows.width(j));
+        AppendRow(&rows, rows.rule(j), image);
+        continue;
+      }
+      const std::size_t rule = rng.Below(5);
+      std::vector<Term> image;
+      for (std::size_t k = 0; k < kWidths[rule]; ++k) {
+        image.push_back(random_term(&rng));
+      }
+      AppendRow(&rows, rule, image);
+    }
+    std::vector<std::size_t> order(rows.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(),
+              [&rows](std::size_t x, std::size_t y) {
+                return exec::CanonicalTriggerLess(rows, x, y);
+              });
+    RowList expected;
+    const RowList all = RowsOf(rows);
+    for (std::size_t i : order) expected.push_back(all[i]);
+
+    exec::SortCanonical(&rows);
+    EXPECT_EQ(RowsOf(rows), expected) << "seed " << seed;
+  }
+}
+
+TEST(TriggerRowsTest, SpliceAndFilterKeepRowOrder) {
+  Universe u;
+  Term a = u.InternConstant("a");
+  Term b = u.InternConstant("b");
+  exec::TriggerRows first, second;
+  AppendRow(&first, 0, {a, b});
+  AppendRow(&second, 1, {b});
+  AppendRow(&second, 0, {b, b});
+  first.Splice(std::move(second));
+  first.Filter([&first](std::size_t i) { return first.rule(i) == 0; });
+  EXPECT_EQ(RowsOf(first), (RowList{{0, {a, b}}, {0, {b, b}}}));
 }
 
 // Builds a mid-sized random instance and a connected CQ, then checks every

@@ -362,6 +362,46 @@ TEST(SegmentEngineDifferentialTest, NaiveEnumerationMatchesTriggerNaive) {
   }
 }
 
+TEST(SegmentEngineDifferentialTest, TransitivePathFiresEachTriggerOnce) {
+  // Example 1's transitivity rule on an n-edge path saturates into the
+  // transitive tournament: one oblivious trigger per node triple
+  // x < y < z, C(n+1, 3) in all, and n(n+1)/2 E atoms. The semi-naive
+  // windows keep no fired ledger for this variant, so a trigger found
+  // twice would show up as a higher count. Every configuration must also
+  // match the naive trigger engine (which keeps its ledger) bit for bit.
+  constexpr std::size_t n = 40;
+  std::string db;
+  for (std::size_t i = 0; i < n; ++i) {
+    db += "E(v" + std::to_string(i) + ",v" + std::to_string(i + 1) + "). ";
+  }
+  const std::string rules = "E(x,y), E(y,z) -> E(x,z)";
+  ChaseOptions options{.exec = {.max_steps = 64}};
+  options.naive_enumeration = true;
+  EngineRun oracle;
+  RunOnText(rules, db, options, ChaseEngine::kTrigger, StorageKind::kRow,
+            /*threads=*/1, &oracle);
+  for (bool naive : {false, true}) {
+    options.naive_enumeration = naive;
+    for (ChaseEngine engine :
+         {ChaseEngine::kTrigger, ChaseEngine::kSegment}) {
+      for (StorageKind storage : kBackends) {
+        for (std::size_t threads : kThreadCounts) {
+          SCOPED_TRACE(std::string(ToString(engine)) + " " +
+                       ConfigName(ChaseVariant::kOblivious, storage,
+                                  threads) +
+                       (naive ? " naive" : ""));
+          EngineRun run;
+          RunOnText(rules, db, options, engine, storage, threads, &run);
+          EXPECT_TRUE(run.chase->Saturated());
+          EXPECT_EQ(run.chase->TriggersFired(), (n + 1) * n * (n - 1) / 6);
+          EXPECT_EQ(run.chase->Result().size(), n * (n + 1) / 2 + 1);  // + ⊤
+          ExpectIdentical(oracle, run);
+        }
+      }
+    }
+  }
+}
+
 TEST(SegmentEngineDifferentialTest, IncrementalInsertionMatchesTrigger) {
   // AddBaseFacts re-arms the delta; the segment engine's anchor plans must
   // pick up triggers enabled by the inserted facts exactly like the
