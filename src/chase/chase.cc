@@ -4,6 +4,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "base/check.h"
 #include "base/hash.h"
@@ -50,11 +51,69 @@ ExecutionConfig ChaseOptions::ResolvedExec() const {
   return resolved;
 }
 
-std::size_t ObliviousChase::TriggerKeyHash::operator()(
-    const TriggerKey& k) const {
-  std::size_t seed = std::hash<std::size_t>{}(k.first);
-  for (Term t : k.second) HashCombine(&seed, std::hash<Term>{}(t));
+namespace {
+
+constexpr std::size_t kInitialLedgerSlots = 64;  // power of two
+
+}  // namespace
+
+std::size_t ObliviousChase::TriggerLedger::Hash(const Term* key) const {
+  std::size_t seed = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < width_; ++i) {
+    HashCombine(&seed, std::hash<Term>{}(key[i]));
+  }
   return seed;
+}
+
+std::size_t ObliviousChase::TriggerLedger::FindSlot(const Term* key,
+                                                    std::size_t hash) const {
+  const std::size_t mask = slots_.size() - 1;
+  const std::uint64_t tag = hash >> 32;
+  std::size_t slot = hash & mask;
+  while (slots_[slot] != 0) {
+    const std::uint64_t stored = slots_[slot];
+    if ((stored >> 32) == tag) {
+      const Term* entry =
+          keys_.data() + ((stored & 0xffffffffu) - 1) * width_;
+      if (std::equal(key, key + width_, entry)) return slot;
+    }
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+bool ObliviousChase::TriggerLedger::Contains(const Term* key) const {
+  return count_ != 0 && slots_[FindSlot(key, Hash(key))] != 0;
+}
+
+bool ObliviousChase::TriggerLedger::Insert(const Term* key) {
+  if (2 * (count_ + 1) >= slots_.size()) {
+    // Grow to keep the load at most 50%, re-placing every identity.
+    std::vector<std::uint64_t> old = std::move(slots_);
+    slots_.assign(old.empty() ? kInitialLedgerSlots : 2 * old.size(), 0);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::uint64_t stored : old) {
+      if (stored == 0) continue;
+      const std::size_t hash =
+          Hash(keys_.data() + ((stored & 0xffffffffu) - 1) * width_);
+      std::size_t slot = hash & mask;
+      while (slots_[slot] != 0) slot = (slot + 1) & mask;
+      slots_[slot] = stored;
+    }
+  }
+  const std::size_t hash = Hash(key);
+  const std::size_t slot = FindSlot(key, hash);
+  if (slots_[slot] != 0) return false;
+  keys_.insert(keys_.end(), key, key + width_);
+  ++count_;
+  slots_[slot] = (static_cast<std::uint64_t>(hash >> 32) << 32) | count_;
+  return true;
+}
+
+void ObliviousChase::TriggerLedger::Clear() {
+  keys_.clear();
+  slots_.clear();
+  count_ = 0;
 }
 
 ObliviousChase::ObliviousChase(const Instance& database, RuleSet rules,
@@ -64,8 +123,7 @@ ObliviousChase::ObliviousChase(const Instance& database, RuleSet rules,
       rules_(std::move(rules)),
       options_(options) {
   atoms_at_step_.push_back(instance_.size());
-  atom_step_.assign(instance_.size(), 0);
-  atom_provenance_.assign(instance_.size(), AtomProvenance{});
+  atom_record_.assign(instance_.size(), kDatabaseRecord);
   rule_searches_.reserve(rules_.size());
   for (const Rule& rule : rules_) {
     rule_searches_.emplace_back(rule.body(), &instance_);
@@ -141,6 +199,13 @@ ObliviousChase::ObliviousChase(const Instance& database, RuleSet rules,
   }
   use_ledger_ = options_.variant == ChaseVariant::kSemiOblivious ||
                 options_.naive_enumeration;
+  ledgers_.reserve(rules_.size());
+  for (std::size_t r = 0; r < rules_.size(); ++r) {
+    ledgers_.emplace_back(options_.variant == ChaseVariant::kSemiOblivious
+                              ? frontier_positions_[r].size()
+                              : rules_[r].body_vars().size());
+  }
+  round_.Reset(rules_.size());
   metrics_ = obs::ResolveMetrics(exec_.metrics);
   metric_step_ = metrics_->GetGauge("chase.step");
   metric_atoms_ = metrics_->GetGauge("chase.atoms");
@@ -166,42 +231,37 @@ bool ObliviousChase::HeadSatisfied(std::size_t rule,
   return head_searches_[rule].Exists(frontier_seed);
 }
 
-ObliviousChase::TriggerKey ObliviousChase::KeyOf(std::size_t rule,
-                                                 const Term* image) const {
-  TriggerKey key{rule, {}};
-  if (options_.variant == ChaseVariant::kSemiOblivious) {
-    const std::vector<std::size_t>& positions = frontier_positions_[rule];
-    key.second.reserve(positions.size());
-    for (std::size_t p : positions) key.second.push_back(image[p]);
-  } else {
-    key.second.assign(image, image + rules_[rule].body_vars().size());
+const Term* ObliviousChase::IdentityOf(std::size_t rule, const Term* image) {
+  if (options_.variant != ChaseVariant::kSemiOblivious) return image;
+  identity_scratch_.clear();
+  for (std::size_t p : frontier_positions_[rule]) {
+    identity_scratch_.push_back(image[p]);
   }
-  return key;
+  return identity_scratch_.data();
 }
 
 void ObliviousChase::Fire(std::size_t rule_index, const Term* image,
                           int step) {
   const Rule& rule = rules_[rule_index];
-  const std::vector<Term>& vars = rule.body_vars();
-  const std::vector<Term>& existentials = rule.existentials();
-  slot_values_.assign(image, image + vars.size());
-  for (std::size_t e = 0; e < existentials.size(); ++e) {
+  const std::size_t num_vars = rule.body_vars().size();
+  const std::size_t num_existentials = rule.existentials().size();
+  slot_values_.assign(image, image + num_vars);
+  for (std::size_t e = 0; e < num_existentials; ++e) {
     slot_values_.push_back(universe()->FreshNull());
   }
-  // The trigger homomorphism h' (body variables + existentials) as a
-  // Substitution, built only once a new atom or null records it.
-  std::optional<Substitution> trigger;
-  const auto trigger_of = [&]() -> const Substitution& {
-    if (!trigger.has_value()) {
-      trigger.emplace();
-      for (std::size_t i = 0; i < vars.size(); ++i) {
-        trigger->Bind(vars[i], slot_values_[i]);
-      }
-      for (std::size_t e = 0; e < existentials.size(); ++e) {
-        trigger->Bind(existentials[e], slot_values_[vars.size() + e]);
-      }
+  // The trigger's provenance record, appended once a new atom or null
+  // needs it.
+  std::uint32_t record = kDatabaseRecord;
+  const auto record_of = [&]() {
+    if (record == kDatabaseRecord) {
+      record = static_cast<std::uint32_t>(records_.size());
+      BDDFC_CHECK_LT(record, kDatabaseRecord);
+      records_.push_back({static_cast<std::uint32_t>(rule_index), step,
+                          record_terms_.size()});
+      record_terms_.insert(record_terms_.end(), slot_values_.begin(),
+                           slot_values_.end());
     }
-    return *trigger;
+    return record;
   };
   HeadProjection& head = heads_[rule_index];
   for (std::size_t k = 0; k < head.atoms.size(); ++k) {
@@ -210,24 +270,19 @@ void ObliviousChase::Fire(std::size_t rule_index, const Term* image,
     for (std::size_t j = 0; j < slots.size(); ++j) {
       if (slots[j] >= 0) out.set_arg(j, slot_values_[slots[j]]);
     }
-    if (!instance_.AddAtom(out)) continue;
-    atom_step_.push_back(step);
-    AtomProvenance provenance;
-    provenance.database = false;
-    provenance.step = step;
-    provenance.rule_index = rule_index;
-    provenance.trigger = trigger_of();
-    atom_provenance_.push_back(std::move(provenance));
-  }
-  for (std::size_t e = 0; e < existentials.size(); ++e) {
-    ChaseTermInfo info;
-    info.timestamp = step;
-    info.rule_index = rule_index;
-    info.trigger = trigger_of();
-    for (std::size_t p : frontier_positions_[rule_index]) {
-      info.frontier.push_back(image[p]);
+    if (!instance_.AddAtom(out)) {
+      ++round_.atoms_duplicate[rule_index];
+      continue;
     }
-    term_info_.emplace(slot_values_[vars.size() + e], std::move(info));
+    ++round_.atoms_new[rule_index];
+    atom_record_.push_back(record_of());
+  }
+  for (std::size_t e = 0; e < num_existentials; ++e) {
+    const Term null = slot_values_[num_vars + e];
+    // FreshNull counts up and firing is serial, so the nulls of one chase
+    // arrive ascending even when other chases share the universe.
+    BDDFC_CHECK(null_records_.empty() || null_records_.back().first < null);
+    null_records_.emplace_back(null, record_of());
   }
 }
 
@@ -297,17 +352,24 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
     }
   }
   enumerate_span.Arg("candidates", rows.size()).End();
+  round_.Reset(rules_.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    ++round_.candidates[rows.rule(i)];
+  }
 
   // Phase 2 — where the ledger is kept (or a cancelled round seeded it,
   // see below), drop the candidates whose identity already fired.
-  if (use_ledger_ || !fired_.empty()) {
+  if (use_ledger_ || ledger_seeded_) {
     BDDFC_OBS_SPAN(ledger_span, "chase", "chase.ledger_filter");
-    if (!fired_.empty()) {
-      rows.Filter([&](std::size_t i) {
-        return fired_.find(KeyOf(rows.rule(i), rows.image(i))) ==
-               fired_.end();
-      });
-    }
+    rows.Filter([&](std::size_t i) {
+      const std::size_t r = rows.rule(i);
+      const TriggerLedger& ledger = ledgers_[r];
+      if (ledger.empty() || !ledger.Contains(IdentityOf(r, rows.image(i)))) {
+        return true;
+      }
+      ++round_.ledger_rejected[r];
+      return false;
+    });
     ledger_span.Arg("kept", rows.size()).End();
   }
 
@@ -346,7 +408,6 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
   BDDFC_OBS_SPAN(fire_span, "chase", "chase.fire");
   const int step = static_cast<int>(steps_executed_) + 1;
   std::size_t fired_this_step = 0;
-  std::vector<std::size_t> round_fired(rules_.size(), 0);
   std::size_t ci = 0;
   for (; ci < rows.size(); ++ci) {
     if (instance_.size() >= exec_.max_atoms) {
@@ -366,7 +427,10 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
     // Claims the identity: duplicates within the step (possible under the
     // semi-oblivious identity) are skipped, keeping the canonically
     // smallest trigger as the representative.
-    if (use_ledger_ && !fired_.insert(KeyOf(r, image)).second) continue;
+    if (use_ledger_ && !ledgers_[r].Insert(IdentityOf(r, image))) {
+      ++round_.ledger_rejected[r];
+      continue;
+    }
 
     if (restricted) {
       // Fire only if no extension of the trigger already satisfies the
@@ -386,7 +450,7 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
     }
 
     Fire(r, image, step);
-    ++round_fired[r];
+    ++round_.fired[r];
     outcome.fired = true;
     // Refresh the live-atom gauge periodically so the progress heartbeat
     // tracks long firing phases, not just step boundaries.
@@ -403,20 +467,24 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
   // Close the round: accumulate per-rule counters, advance the stratified
   // schedule's cursors and saturation flags (skipped when the atom budget
   // truncated the firing phase — unfired candidates must stay findable).
-  scheduler_->OnRoundEnd(delta_end, round_fired, outcome.truncated);
+  scheduler_->OnRoundEnd(delta_end, round_, outcome.truncated);
   if (!outcome.truncated) {
     // The next round's window starts past the atoms this one enumerated;
     // any identities a cancelled round recorded can no longer come up.
     delta_cursor_ = delta_end;
-    if (!use_ledger_) fired_.clear();
+    if (ledger_seeded_) {
+      for (TriggerLedger& ledger : ledgers_) ledger.Clear();
+      ledger_seeded_ = false;
+    }
   } else if (!use_ledger_ && !hit_bounds_) {
     // Cancelled mid-round (the atom budget's truncation is final): the
     // window cursors stay put, so a resumed run enumerates this round's
     // window again. Record the triggers it already passed so they do not
     // fire twice.
     for (std::size_t i = 0; i < ci; ++i) {
-      fired_.insert(KeyOf(rows.rule(i), rows.image(i)));
+      ledgers_[rows.rule(i)].Insert(IdentityOf(rows.rule(i), rows.image(i)));
     }
+    if (ci > 0) ledger_seeded_ = true;
   }
   return outcome;
 }
@@ -453,8 +521,7 @@ std::size_t ObliviousChase::AddBaseFacts(const std::vector<Atom>& facts) {
   for (const Atom& fact : facts) {
     for (Term t : fact.args()) BDDFC_CHECK(!t.IsVariable());
     if (!instance_.AddAtom(fact)) continue;
-    atom_step_.push_back(0);
-    atom_provenance_.push_back(AtomProvenance{});
+    atom_record_.push_back(kDatabaseRecord);
     ++added;
   }
   if (added == 0) return 0;
@@ -482,26 +549,34 @@ std::vector<std::string> ObliviousChase::CanonicalAtoms() const {
       [&](Term t) -> const std::string& {
     auto it = null_names.find(t);
     if (it != null_names.end()) return it->second;
-    const ChaseTermInfo* info = InfoOf(t);
-    BDDFC_CHECK(info != nullptr);
-    const Rule& rule = rules_[info->rule_index];
+    const TriggerRecord* record = RecordOfNull(t);
+    BDDFC_CHECK(record != nullptr);
+    const Rule& rule = rules_[record->rule];
+    const Term* slots = record_terms_.data() + record->offset;
+    const std::size_t num_vars = rule.body_vars().size();
     std::size_t existential_index = 0;
     for (std::size_t i = 0; i < rule.existentials().size(); ++i) {
-      if (info->trigger.Apply(rule.existentials()[i]) == t) {
+      if (slots[num_vars + i] == t) {
         existential_index = i;
         break;
       }
     }
-    const std::vector<Term>& id_vars =
-        semi ? rule.frontier() : rule.body_vars();
+    // The identity images: the frontier's (semi-oblivious) or the whole
+    // body image.
+    std::vector<std::size_t> id_positions;
+    if (semi) {
+      id_positions = frontier_positions_[record->rule];
+    } else {
+      for (std::size_t i = 0; i < num_vars; ++i) id_positions.push_back(i);
+    }
     std::string name = "f";
-    name += std::to_string(info->rule_index);
+    name += std::to_string(record->rule);
     name += '_';
     name += std::to_string(existential_index);
     name += '(';
-    for (std::size_t i = 0; i < id_vars.size(); ++i) {
+    for (std::size_t i = 0; i < id_positions.size(); ++i) {
       if (i > 0) name += ',';
-      Term image = info->trigger.Apply(id_vars[i]);
+      Term image = slots[id_positions[i]];
       if (image.IsNull()) {
         name += null_name(image);
       } else {
@@ -545,14 +620,48 @@ Instance ObliviousChase::Prefix(std::size_t k) const {
 }
 
 int ObliviousChase::StepOfAtom(std::size_t idx) const {
-  BDDFC_CHECK_LT(idx, atom_step_.size());
-  return atom_step_[idx];
+  BDDFC_CHECK_LT(idx, atom_record_.size());
+  const std::uint32_t record = atom_record_[idx];
+  return record == kDatabaseRecord ? 0 : records_[record].step;
 }
 
-const ObliviousChase::AtomProvenance& ObliviousChase::ProvenanceOf(
+Substitution ObliviousChase::TriggerOf(const TriggerRecord& record) const {
+  const Rule& rule = rules_[record.rule];
+  const std::vector<Term>& vars = rule.body_vars();
+  const std::vector<Term>& existentials = rule.existentials();
+  const Term* slots = record_terms_.data() + record.offset;
+  Substitution trigger;
+  for (std::size_t i = 0; i < vars.size(); ++i) trigger.Bind(vars[i], slots[i]);
+  for (std::size_t e = 0; e < existentials.size(); ++e) {
+    trigger.Bind(existentials[e], slots[vars.size() + e]);
+  }
+  return trigger;
+}
+
+ObliviousChase::AtomProvenance ObliviousChase::ProvenanceOf(
     std::size_t idx) const {
-  BDDFC_CHECK_LT(idx, atom_provenance_.size());
-  return atom_provenance_[idx];
+  BDDFC_CHECK_LT(idx, atom_record_.size());
+  AtomProvenance provenance;
+  const std::uint32_t record = atom_record_[idx];
+  if (record == kDatabaseRecord) return provenance;
+  const TriggerRecord& r = records_[record];
+  provenance.database = false;
+  provenance.step = r.step;
+  provenance.rule_index = r.rule;
+  provenance.trigger = TriggerOf(r);
+  return provenance;
+}
+
+const ObliviousChase::TriggerRecord* ObliviousChase::RecordOfNull(
+    Term null) const {
+  if (!null.IsNull()) return nullptr;
+  const auto it = std::lower_bound(
+      null_records_.begin(), null_records_.end(), null,
+      [](const std::pair<Term, std::uint32_t>& entry, Term t) {
+        return entry.first < t;
+      });
+  if (it == null_records_.end() || it->first != null) return nullptr;
+  return &records_[it->second];
 }
 
 namespace {
@@ -577,7 +686,7 @@ void ExplainRec(const ObliviousChase& chase, const Atom& atom, int depth,
     }
     *out += ')';
   }
-  const auto& provenance = chase.ProvenanceOf(idx);
+  const ObliviousChase::AtomProvenance provenance = chase.ProvenanceOf(idx);
   if (provenance.database) {
     *out += "  [database]\n";
     return;
@@ -615,13 +724,22 @@ std::string ObliviousChase::Explain(const Atom& atom, int max_depth) const {
 }
 
 int ObliviousChase::TimestampOf(Term t) const {
-  auto it = term_info_.find(t);
-  return it == term_info_.end() ? 0 : it->second.timestamp;
+  const TriggerRecord* record = RecordOfNull(t);
+  return record == nullptr ? 0 : record->step;
 }
 
-const ChaseTermInfo* ObliviousChase::InfoOf(Term t) const {
-  auto it = term_info_.find(t);
-  return it == term_info_.end() ? nullptr : &it->second;
+std::optional<ChaseTermInfo> ObliviousChase::InfoOf(Term t) const {
+  const TriggerRecord* record = RecordOfNull(t);
+  if (record == nullptr) return std::nullopt;
+  ChaseTermInfo info;
+  info.timestamp = record->step;
+  info.rule_index = record->rule;
+  info.trigger = TriggerOf(*record);
+  const Term* slots = record_terms_.data() + record->offset;
+  for (std::size_t p : frontier_positions_[record->rule]) {
+    info.frontier.push_back(slots[p]);
+  }
+  return info;
 }
 
 bool ObliviousChase::IsDag() const {

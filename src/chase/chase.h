@@ -13,7 +13,10 @@
 // Every chase term (labeled null) carries the provenance the Section 5
 // machinery needs: its timestamp TS(t) (Definition 34: the first step whose
 // active domain contains it), its frontier (the images h(fr(ρ)) of the
-// creating trigger, Section 2.2), and the creating rule.
+// creating trigger, Section 2.2), and the creating rule. The chase stores it
+// flat — one record per fired trigger that created an atom or a null, plus
+// the trigger's slot values in a shared term arena — and rebuilds the
+// per-term and per-atom views (InfoOf, ProvenanceOf) on demand.
 
 #ifndef BDDFC_CHASE_CHASE_H_
 #define BDDFC_CHASE_CHASE_H_
@@ -21,10 +24,10 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "chase/rule_scheduler.h"
 #include "exec/execution_config.h"
 #include "homomorphism/homomorphism.h"
 #include "logic/instance.h"
@@ -33,7 +36,6 @@
 
 namespace bddfc {
 
-class RuleScheduler;
 class SegmentEngine;
 
 namespace exec {
@@ -217,8 +219,10 @@ class ObliviousChase {
   /// TS(t): 0 for database terms, creation step for chase terms.
   int TimestampOf(Term t) const;
 
-  /// Provenance of a chase term, or nullptr for database terms.
-  const ChaseTermInfo* InfoOf(Term t) const;
+  /// Provenance of a chase term, rebuilt from its creating trigger's
+  /// record; nullopt for database terms and for nulls this chase did not
+  /// invent.
+  std::optional<ChaseTermInfo> InfoOf(Term t) const;
 
   /// Number of triggers fired in total. Reads the scheduler's per-rule
   /// counters (the single source of truth since the stats unification), so
@@ -230,9 +234,10 @@ class ObliviousChase {
   std::size_t num_threads() const { return num_threads_; }
 
   /// The rule scheduler driving the per-step rule loop (flat pass-through
-  /// or reliance-stratified, per ExecutionConfig::schedule). Exposes
-  /// per-rule fired/skipped counters, the stratification and the reliance
-  /// graph (see src/chase/rule_scheduler.h).
+  /// or reliance-stratified, per ExecutionConfig::schedule). Exposes the
+  /// per-rule work counters (candidates, ledger rejections, fired, new and
+  /// duplicate atoms, skips), the stratification and the reliance graph
+  /// (see src/chase/rule_scheduler.h).
   const RuleScheduler& scheduler() const { return *scheduler_; }
 
   /// Provenance of one atom of Result(): the trigger that first derived
@@ -245,8 +250,9 @@ class ObliviousChase {
     Substitution trigger;
   };
 
-  /// Provenance of Result().atoms()[idx].
-  const AtomProvenance& ProvenanceOf(std::size_t idx) const;
+  /// Provenance of Result().atoms()[idx], rebuilt from its creating
+  /// trigger's record.
+  AtomProvenance ProvenanceOf(std::size_t idx) const;
 
   /// A textual derivation tree for `atom` (which must be in Result()):
   /// each line shows an atom and the rule/trigger that produced it, with
@@ -261,13 +267,45 @@ class ObliviousChase {
   const RuleSet& rules() const { return rules_; }
 
  private:
-  // Identity of a trigger in the fired ledger: rule index + the images of
-  // the identity variables (body_vars() for the oblivious/restricted
-  // variants, frontier() for the semi-oblivious one).
-  using TriggerKey = std::pair<std::size_t, std::vector<Term>>;
-  struct TriggerKeyHash {
-    std::size_t operator()(const TriggerKey& k) const;
+  // The fired ledger of one rule: a set of trigger identities, each
+  // `width` terms wide (the images of the identity variables: frontier()
+  // for the semi-oblivious variant, body_vars() otherwise). Identities sit
+  // back to back in a term arena; an open-addressing table with linear
+  // probing indexes them, each slot packing the upper 32 bits of the
+  // identity's hash above its entry number + 1 (0 = empty), so most
+  // mismatching probes never touch the arena. Zero-width identities (an
+  // empty semi-oblivious frontier) all compare equal: the ledger holds at
+  // most one.
+  class TriggerLedger {
+   public:
+    explicit TriggerLedger(std::size_t width) : width_(width) {}
+    bool Contains(const Term* key) const;
+    // Adds `key`; returns false when it was already present.
+    bool Insert(const Term* key);
+    void Clear();
+    bool empty() const { return count_ == 0; }
+
+   private:
+    std::size_t Hash(const Term* key) const;
+    // The slot holding `key`, or the empty slot its probe ends at. Needs a
+    // non-empty table.
+    std::size_t FindSlot(const Term* key, std::size_t hash) const;
+    std::size_t width_;
+    std::vector<Term> keys_;
+    std::vector<std::uint64_t> slots_;
+    std::uint32_t count_ = 0;
   };
+
+  // One fired trigger that created an atom or a null: its rule, its step,
+  // and where its slot values (body image, then fresh nulls) start in
+  // record_terms_.
+  struct TriggerRecord {
+    std::uint32_t rule = 0;
+    std::int32_t step = 0;
+    std::size_t offset = 0;
+  };
+  // atom_record_ entry of a database atom.
+  static constexpr std::uint32_t kDatabaseRecord = UINT32_MAX;
 
   // A rule head compiled into a projection over trigger slots: slot i <
   // |body_vars()| is body image term i, slot |body_vars()| + e is the
@@ -290,8 +328,18 @@ class ObliviousChase {
   // records provenance for every new atom and null.
   void Fire(std::size_t rule, const Term* image, int step);
 
-  // The ledger key of the trigger of rule `rule` with body image `image`.
-  TriggerKey KeyOf(std::size_t rule, const Term* image) const;
+  // The ledger identity of the trigger of rule `rule` with body image
+  // `image`: the image itself, or (semi-oblivious) its frontier projection
+  // written to identity_scratch_. Valid until the next call.
+  const Term* IdentityOf(std::size_t rule, const Term* image);
+
+  // The record of the trigger that invented `null`, or null for terms this
+  // chase did not invent.
+  const TriggerRecord* RecordOfNull(Term null) const;
+
+  // The trigger homomorphism h' (body variables + existentials) of a
+  // record, as a Substitution.
+  Substitution TriggerOf(const TriggerRecord& record) const;
 
   // Restricted variant: true iff the head of rule `rule` is already
   // satisfied by an extension of the frontier image of body image `image`.
@@ -321,6 +369,9 @@ class ObliviousChase {
   // a trigger's slot values (body image, then fresh nulls).
   std::vector<HeadProjection> heads_;
   std::vector<Term> slot_values_;
+  // Per-rule work counts of the round in progress, added to the
+  // scheduler's totals when the round ends.
+  RuleSchedulerStats round_;
   // Parallel executor (null when num_threads_ == 1: the serial path).
   std::size_t num_threads_ = 1;
   std::unique_ptr<exec::ParallelChase> parallel_;
@@ -337,16 +388,18 @@ class ObliviousChase {
   // is enumerated twice. 0 until the first round, which enumerates the
   // full instance.
   std::uint32_t delta_cursor_ = 0;
-  // The fired ledger, kept only where a trigger identity can come up
-  // again: the semi-oblivious identity (many body images share one
-  // frontier image) and naive enumeration (every round re-enumerates
+  // The fired ledgers (one per rule), kept only where a trigger identity
+  // can come up again: the semi-oblivious identity (many body images share
+  // one frontier image) and naive enumeration (every round re-enumerates
   // everything). Elsewhere the semi-naive windows — the flat cursor above
   // or the stratified schedule's per-rule cursors — find each trigger
   // exactly once; only a cancelled round, whose window a resumed run
   // enumerates again, records its fired identities there until the next
-  // round completes.
+  // round completes (ledger_seeded_).
   bool use_ledger_ = false;
-  std::unordered_set<TriggerKey, TriggerKeyHash> fired_;
+  bool ledger_seeded_ = false;
+  std::vector<TriggerLedger> ledgers_;
+  std::vector<Term> identity_scratch_;
   // Metrics instruments (resolved from exec_.metrics; never null). The
   // gauges are updated mid-step so the progress heartbeat sees live
   // values; all updates are relaxed atomics and never steer execution.
@@ -355,9 +408,14 @@ class ObliviousChase {
   obs::Gauge* metric_atoms_ = nullptr;
   obs::Counter* metric_fired_ = nullptr;
   std::vector<std::size_t> atoms_at_step_;  // atom count after each step
-  std::vector<int> atom_step_;              // creation step per atom index
-  std::vector<AtomProvenance> atom_provenance_;  // parallel to atoms()
-  std::unordered_map<Term, ChaseTermInfo> term_info_;
+  // Provenance: the trigger records and their slot values; per atom of
+  // instance_ the record that created it (kDatabaseRecord for database
+  // atoms); per invented null its record, ascending by null (FreshNull
+  // counts up and firing is serial, so appending keeps the order).
+  std::vector<TriggerRecord> records_;
+  std::vector<Term> record_terms_;
+  std::vector<std::uint32_t> atom_record_;
+  std::vector<std::pair<Term, std::uint32_t>> null_records_;
 };
 
 /// Convenience: runs the chase of `rules` on `database` and returns the

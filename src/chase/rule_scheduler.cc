@@ -6,22 +6,40 @@
 
 namespace bddfc {
 
-std::size_t RuleSchedulerStats::fired_total() const {
+namespace {
+
+std::size_t Sum(const std::vector<std::size_t>& counts) {
   std::size_t n = 0;
-  for (std::size_t f : fired) n += f;
+  for (std::size_t c : counts) n += c;
   return n;
 }
 
-std::size_t RuleSchedulerStats::skipped_total() const {
-  std::size_t n = 0;
-  for (std::size_t s : skipped) n += s;
-  return n;
+// Adds `round` into `total` entry by entry and returns the round's sum.
+std::size_t Accumulate(const std::vector<std::size_t>& round,
+                       std::vector<std::size_t>* total) {
+  for (std::size_t r = 0; r < round.size() && r < total->size(); ++r) {
+    (*total)[r] += round[r];
+  }
+  return Sum(round);
 }
+
+}  // namespace
+
+void RuleSchedulerStats::Reset(std::size_t num_rules) {
+  for (std::vector<std::size_t>* counts :
+       {&candidates, &ledger_rejected, &fired, &atoms_new, &atoms_duplicate,
+        &skipped}) {
+    counts->assign(num_rules, 0);
+  }
+}
+
+std::size_t RuleSchedulerStats::fired_total() const { return Sum(fired); }
+
+std::size_t RuleSchedulerStats::skipped_total() const { return Sum(skipped); }
 
 RuleScheduler::RuleScheduler(std::size_t num_rules, bool naive)
     : num_rules_(num_rules), naive_(naive) {
-  stats_.fired.assign(num_rules, 0);
-  stats_.skipped.assign(num_rules, 0);
+  stats_.Reset(num_rules);
 }
 
 std::unique_ptr<RuleScheduler> RuleScheduler::Flat(std::size_t num_rules) {
@@ -53,11 +71,19 @@ std::unique_ptr<RuleScheduler> RuleScheduler::Stratified(
 void RuleScheduler::set_metrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     metric_skipped_ = nullptr;
+    metric_candidates_ = nullptr;
+    metric_ledger_rejected_ = nullptr;
+    metric_atoms_new_ = nullptr;
+    metric_atoms_duplicate_ = nullptr;
     metric_active_rules_ = nullptr;
     metric_strata_ = nullptr;
     return;
   }
   metric_skipped_ = metrics->GetCounter("sched.rules_skipped");
+  metric_candidates_ = metrics->GetCounter("chase.candidates");
+  metric_ledger_rejected_ = metrics->GetCounter("chase.ledger_rejected");
+  metric_atoms_new_ = metrics->GetCounter("chase.atoms_new");
+  metric_atoms_duplicate_ = metrics->GetCounter("chase.atoms_duplicate");
   metric_active_rules_ = metrics->GetGauge("sched.active_rules");
   metric_strata_ = metrics->GetGauge("sched.strata");
   metric_strata_->Set(static_cast<std::int64_t>(num_strata()));
@@ -175,11 +201,23 @@ std::vector<exec::RuleJob> RuleScheduler::PlanRound(
 }
 
 void RuleScheduler::OnRoundEnd(std::uint32_t delta_end,
-                               const std::vector<std::size_t>& fired,
+                               const RuleSchedulerStats& round,
                                bool truncated) {
-  for (std::size_t r = 0; r < fired.size() && r < num_rules_; ++r) {
-    stats_.fired[r] += fired[r];
+  Accumulate(round.fired, &stats_.fired);
+  const std::size_t candidates =
+      Accumulate(round.candidates, &stats_.candidates);
+  const std::size_t rejected =
+      Accumulate(round.ledger_rejected, &stats_.ledger_rejected);
+  const std::size_t atoms_new = Accumulate(round.atoms_new, &stats_.atoms_new);
+  const std::size_t atoms_duplicate =
+      Accumulate(round.atoms_duplicate, &stats_.atoms_duplicate);
+  if (metric_candidates_ != nullptr) {
+    metric_candidates_->Add(candidates);
+    metric_ledger_rejected_->Add(rejected);
+    metric_atoms_new_->Add(atoms_new);
+    metric_atoms_duplicate_->Add(atoms_duplicate);
   }
+  const std::vector<std::size_t>& fired = round.fired;
   if (!stratified() || truncated) return;
   // Every active rule's window has been searched (or proven empty) up to
   // delta_end; atoms this round appended sit above it and form the next

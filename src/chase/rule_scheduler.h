@@ -55,19 +55,35 @@ class Gauge;
 class MetricsRegistry;
 }  // namespace obs
 
-/// Monotone scheduling counters, exposed through ObliviousChase for
-/// ReasonerStats and chase_cli's per-rule reporting. The totals are also
-/// mirrored into the metrics registry (`chase.triggers_fired`,
-/// `sched.rules_skipped`) when set_metrics was called, so every reporting
-/// surface derives from the same per-rule increments.
+/// Monotone per-rule work counters, exposed through ObliviousChase for
+/// ReasonerStats and chase_cli's per-rule reporting. The chase counts one
+/// round at a time into a RuleSchedulerStats of its own and hands it to
+/// OnRoundEnd, which adds it to the run's totals and mirrors the round's
+/// sums into the metrics registry (`chase.candidates`,
+/// `chase.ledger_rejected`, `chase.atoms_new`, `chase.atoms_duplicate`,
+/// `sched.rules_skipped`) when set_metrics was called — once per round, so
+/// the firing loop never touches a shared counter.
 struct RuleSchedulerStats {
+  /// Candidate triggers enumerated per rule (before the ledger filter).
+  std::vector<std::size_t> candidates;
+  /// Candidates dropped because their identity had already fired: by the
+  /// ledger filter, or (semi-oblivious) by an earlier candidate of the
+  /// same round with the same frontier image.
+  std::vector<std::size_t> ledger_rejected;
   /// Triggers fired per rule, over the whole run.
   std::vector<std::size_t> fired;
+  /// Head atoms the fired triggers added to the instance.
+  std::vector<std::size_t> atoms_new;
+  /// Head atoms the fired triggers produced that were already present.
+  std::vector<std::size_t> atoms_duplicate;
   /// Rule-enumerations avoided per rule: rounds in which the flat schedule
   /// would have searched the rule but the stratified one planned no job
   /// for it (stratum not active, already saturated, or empty delta).
   /// Always zero under the flat schedule.
   std::vector<std::size_t> skipped;
+
+  /// Sizes every counter to `num_rules` rules, all zero.
+  void Reset(std::size_t num_rules);
 
   std::size_t fired_total() const;
   std::size_t skipped_total() const;
@@ -115,12 +131,13 @@ class RuleScheduler {
                                        const Instance& instance);
 
   /// Completes the round PlanRound opened. `delta_end` is the instance
-  /// size the round enumerated against; `fired[r]` counts rule r's fired
-  /// triggers. With `truncated` (the atom budget cut the firing phase
+  /// size the round enumerated against; `round` holds the round's per-rule
+  /// work counts (its `skipped` is ignored: the scheduler counts skips
+  /// itself). With `truncated` (the atom budget cut the firing phase
   /// short) only the stats accumulate — cursors and saturation are left
   /// untouched, because unfired candidates would be lost otherwise.
-  void OnRoundEnd(std::uint32_t delta_end,
-                  const std::vector<std::size_t>& fired, bool truncated);
+  void OnRoundEnd(std::uint32_t delta_end, const RuleSchedulerStats& round,
+                  bool truncated);
 
   /// After a round that fired nothing: is the whole schedule exhausted?
   /// Flat: yes (a no-fire flat round is saturation). Stratified: only once
@@ -148,6 +165,10 @@ class RuleScheduler {
 
   // Metrics instruments (null until set_metrics).
   obs::Counter* metric_skipped_ = nullptr;
+  obs::Counter* metric_candidates_ = nullptr;
+  obs::Counter* metric_ledger_rejected_ = nullptr;
+  obs::Counter* metric_atoms_new_ = nullptr;
+  obs::Counter* metric_atoms_duplicate_ = nullptr;
   obs::Gauge* metric_active_rules_ = nullptr;
   obs::Gauge* metric_strata_ = nullptr;
   // Strata announced as active via a trace instant (stratified only):

@@ -6,42 +6,9 @@
 
 namespace bddfc {
 
-namespace {
-
-constexpr std::size_t kInitialSlots = 64;  // power of two
-
-}  // namespace
-
-std::size_t ColumnStore::FindSlot(const Atom& atom) const {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t slot = AtomHash{}(atom) & mask;
-  while (slots_[slot] != 0) {
-    if (atoms()[slots_[slot] - 1] == atom) return slot;
-    slot = (slot + 1) & mask;
-  }
-  return slot;
-}
-
-void ColumnStore::GrowSlots(std::size_t pending) {
-  std::size_t capacity = slots_.empty() ? kInitialSlots : slots_.size();
-  while (2 * (slots_used_ + pending) >= capacity) capacity *= 2;
-  if (capacity == slots_.size()) return;
-  std::vector<std::uint32_t> old = std::move(slots_);
-  slots_.assign(capacity, 0);
-  const std::size_t mask = slots_.size() - 1;
-  for (std::uint32_t stored : old) {
-    if (stored == 0) continue;
-    std::size_t slot = AtomHash{}(atoms()[stored - 1]) & mask;
-    while (slots_[slot] != 0) slot = (slot + 1) & mask;
-    slots_[slot] = stored;
-  }
-}
-
 std::unique_ptr<FactStore> ColumnStore::Clone() const {
   auto copy = std::make_unique<ColumnStore>();
   copy->CopyBaseFrom(*this);
-  copy->slots_ = slots_;
-  copy->slots_used_ = slots_used_;
   // Lock only to order against a concurrent lazy seal (EnsureRuns) on a
   // query thread; mutation is single-threaded per the thread model.
   std::lock_guard<std::mutex> lock(runs_mutex_);
@@ -54,12 +21,6 @@ std::unique_ptr<FactStore> ColumnStore::Clone() const {
   copy->runs_current_.store(runs_current_.load(std::memory_order_acquire),
                             std::memory_order_release);
   return copy;
-}
-
-std::size_t ColumnStore::IndexOf(const Atom& atom) const {
-  if (slots_.empty()) return SIZE_MAX;
-  const std::uint32_t stored = slots_[FindSlot(atom)];
-  return stored == 0 ? SIZE_MAX : stored - 1;
 }
 
 ColumnStore::PredTable& ColumnStore::TableFor(PredicateId pred,
@@ -79,12 +40,8 @@ ColumnStore::PredTable& ColumnStore::TableFor(PredicateId pred,
 }
 
 bool ColumnStore::AddAtom(const Atom& atom) {
-  GrowSlots(1);
-  const std::size_t slot = FindSlot(atom);
-  if (slots_[slot] != 0) return false;
   const std::uint32_t idx = RecordAtom(atom);
-  slots_[slot] = idx + 1;
-  ++slots_used_;
+  if (idx == kDuplicate) return false;
   PredTable& table = TableFor(atom.pred(), atom.arity());
   table.rows.push_back(idx);
   for (std::size_t pos = 0; pos < atom.arity(); ++pos) {
@@ -92,13 +49,6 @@ bool ColumnStore::AddAtom(const Atom& atom) {
   }
   runs_current_.store(false, std::memory_order_release);
   return true;
-}
-
-void ColumnStore::AddAtoms(const Atom* begin, const Atom* end) {
-  const std::size_t count = static_cast<std::size_t>(end - begin);
-  ReserveAtoms(count);
-  GrowSlots(count);  // one rehash for the whole batch, not log n
-  for (const Atom* a = begin; a != end; ++a) AddAtom(*a);
 }
 
 void ColumnStore::SealTable(PredTable* table) {

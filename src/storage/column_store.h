@@ -14,9 +14,7 @@
 // heap-allocated vector + hash node per distinct (pred, pos, term) key —
 // O(atoms × arity) index entries with ~100 bytes of overhead each) for
 // binary search over flat 4-byte-per-entry arrays: O(atoms) index memory.
-// Exact membership (Contains/IndexOf) uses a flat open-addressing table of
-// atom indices (8 bytes per atom at 50% load) instead of an Atom-copying
-// unordered_map.
+// Exact membership (Contains/IndexOf) is FactStore's shared flat table.
 //
 // Run sealing happens lazily on the first query after a mutation, behind
 // the same double-checked lock discipline RowStore uses for its deferred
@@ -44,18 +42,6 @@ class ColumnStore final : public FactStore {
   std::unique_ptr<FactStore> Clone() const override;
 
   bool AddAtom(const Atom& atom) override;
-
-  /// Bulk append: grows the membership table to the batch's final size
-  /// once instead of rehashing along the way (runs stay unsealed until
-  /// the first query either way).
-  void AddAtoms(const Atom* begin, const Atom* end) override;
-  using FactStore::AddAtoms;
-
-  bool Contains(const Atom& atom) const override {
-    return IndexOf(atom) != SIZE_MAX;
-  }
-
-  std::size_t IndexOf(const Atom& atom) const override;
 
   const std::vector<std::uint32_t>& AtomsWith(PredicateId pred) const override;
   IndexView AtomsWith(PredicateId pred, int pos, Term t) const override;
@@ -93,12 +79,6 @@ class ColumnStore final : public FactStore {
 
   PredTable& TableFor(PredicateId pred, std::size_t arity);
 
-  // Open-addressing membership table: slots_ holds atom index + 1 (0 =
-  // empty); keys are the atoms themselves, compared against atoms()[idx].
-  std::size_t FindSlot(const Atom& atom) const;
-  // Ensures capacity for `pending` further insertions (50% max load).
-  void GrowSlots(std::size_t pending);
-
   // Seals unsealed tails into new sorted runs and applies the lazy merge
   // policy. Thread-safe double-checked lock (concurrent first queries).
   void EnsureRuns() const;
@@ -109,8 +89,6 @@ class ColumnStore final : public FactStore {
   // reference) survive the vector growing for new predicate ids — the
   // same stability the row store's node-based map gives for free.
   mutable std::vector<std::unique_ptr<PredTable>> tables_;
-  std::vector<std::uint32_t> slots_;
-  std::size_t slots_used_ = 0;
   mutable std::atomic<bool> runs_current_{true};
   mutable std::mutex runs_mutex_;
 };

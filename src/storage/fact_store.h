@@ -11,13 +11,18 @@
 //   * range-filtered delta views (AtomsWithIn) over those lookups.
 //
 // Two backends implement the contract:
-//   * RowStore (row_store.h) — the historical Instance layout: one hash
-//     entry per atom plus eager hash-map indexes. Fastest point lookups,
-//     O(atoms × arity) index entries.
+//   * RowStore (row_store.h) — the historical Instance layout: hash-map
+//     indexes by predicate and by (predicate, position, term). Fastest
+//     point lookups, O(atoms × arity) index entries.
 //   * ColumnStore (column_store.h) — a VLog-inspired columnar layout:
 //     per-predicate column vectors with lazily merged sorted runs and
 //     binary-search point lookups. O(atoms) index memory; built for
 //     large-EDB materializations.
+//
+// Exact membership is shared: FactStore itself keeps one flat
+// open-addressing table of atom indices (4 bytes per slot, at most 50%
+// load), keyed by the atoms it already stores, so no backend holds a
+// second copy of any atom.
 //
 // Both backends return identical results for every query (the storage
 // differential suite in tests/storage_test.cc enumerates the contract), so
@@ -309,12 +314,11 @@ class FactStore {
 
   /// Bulk append over a contiguous range (no intermediate vector needed to
   /// batch a slice of an existing sequence). The batch size is known up
-  /// front, so backends reserve their growth structures once (the column
-  /// store also pre-grows its membership table); index construction is
-  /// deferred for the whole batch — and beyond: indexes are built lazily
-  /// on first query, so a store that is only ever scanned via atoms()
-  /// never pays for them.
-  virtual void AddAtoms(const Atom* begin, const Atom* end) {
+  /// front, so the atom sequence and the membership table grow once for
+  /// the whole batch; index construction is deferred for the whole batch
+  /// — and beyond: indexes are built lazily on first query, so a store
+  /// that is only ever scanned via atoms() never pays for them.
+  void AddAtoms(const Atom* begin, const Atom* end) {
     ReserveAtoms(static_cast<std::size_t>(end - begin));
     for (const Atom* a = begin; a != end; ++a) AddAtom(*a);
   }
@@ -323,10 +327,10 @@ class FactStore {
     AddAtoms(atoms.data(), atoms.data() + atoms.size());
   }
 
-  virtual bool Contains(const Atom& atom) const = 0;
+  bool Contains(const Atom& atom) const { return IndexOf(atom) != SIZE_MAX; }
 
   /// Position of `atom` in atoms(), or SIZE_MAX when absent.
-  virtual std::size_t IndexOf(const Atom& atom) const = 0;
+  std::size_t IndexOf(const Atom& atom) const;
 
   /// All atoms in insertion order.
   const std::vector<Atom>& atoms() const { return atoms_; }
@@ -375,33 +379,31 @@ class FactStore {
 #endif
 
  protected:
-  /// Appends `atom` to the shared sequence + active domain and bumps the
-  /// generation counter. Callers have already checked for duplicates.
-  /// Returns the new atom's index.
-  std::uint32_t RecordAtom(const Atom& atom) {
-    const std::uint32_t idx = static_cast<std::uint32_t>(atoms_.size());
-    atoms_.push_back(atom);
-    for (Term t : atom.args()) {
-      if (adom_set_.insert(t).second) adom_.push_back(t);
-    }
-#ifndef NDEBUG
-    ++*generation_;
-#endif
-    return idx;
-  }
+  /// What RecordAtom returns for an atom that is already present.
+  static constexpr std::uint32_t kDuplicate = UINT32_MAX;
 
-  /// Reserves room for `extra` further atoms (bulk loads).
+  /// Appends `atom` unless it is already present: enters it in the
+  /// membership table, the shared sequence and the active domain, and
+  /// bumps the generation counter. Returns the new atom's index, or
+  /// kDuplicate (and changes nothing) when the atom is already stored.
+  std::uint32_t RecordAtom(const Atom& atom);
+
+  /// Reserves room for `extra` further atoms (bulk loads): the sequence
+  /// and the membership table grow once instead of along the way.
   void ReserveAtoms(std::size_t extra) {
     atoms_.reserve(atoms_.size() + extra);
+    GrowSlots(extra);
   }
 
-  /// Copies the base-class state (atom sequence + active domain) from
-  /// `other` into this freshly created store. The generation counter stays
-  /// this store's own — no views borrowed from `other` can ever observe
-  /// the copy. Backends' Clone() implementations call this first.
+  /// Copies the base-class state (atom sequence, membership table and
+  /// active domain) from `other` into this freshly created store. The
+  /// generation counter stays this store's own — no views borrowed from
+  /// `other` can ever observe the copy. Backends' Clone() implementations
+  /// call this first.
   void CopyBaseFrom(const FactStore& other) {
     BDDFC_CHECK(atoms_.empty());
     atoms_ = other.atoms_;
+    slots_ = other.slots_;
     adom_ = other.adom_;
     adom_set_ = other.adom_set_;
   }
@@ -442,7 +444,17 @@ class FactStore {
   static const std::vector<std::uint32_t> kEmptyIndex;
 
  private:
+  // The slot `atom` occupies, or the empty slot its probe ends at. Needs a
+  // non-empty table.
+  std::size_t FindSlot(const Atom& atom) const;
+  // Ensures capacity for `pending` further atoms at no more than 50% load.
+  void GrowSlots(std::size_t pending);
+
   std::vector<Atom> atoms_;
+  // Open-addressing membership table with linear probing: each slot holds
+  // an atom index + 1 (0 = empty); the keys are atoms_[index] themselves.
+  // Nothing is ever erased, so the occupied count is atoms_.size().
+  std::vector<std::uint32_t> slots_;
   std::vector<Term> adom_;
   std::unordered_set<Term> adom_set_;
 #ifndef NDEBUG

@@ -10,7 +10,6 @@ namespace bddfc {
 std::unique_ptr<FactStore> RowStore::Clone() const {
   auto copy = std::make_unique<RowStore>();
   copy->CopyBaseFrom(*this);
-  copy->pos_ = pos_;
   {
     // Lock only to order against a concurrent first-query index build;
     // mutation is single-threaded per the FactStore thread model.
@@ -31,8 +30,8 @@ std::unique_ptr<FactStore> RowStore::Clone() const {
 }
 
 bool RowStore::AddAtom(const Atom& atom) {
-  if (!pos_.emplace(atom, size()).second) return false;
   const std::uint32_t idx = RecordAtom(atom);
+  if (idx == kDuplicate) return false;
   // Deferred index construction: before the first index query nothing is
   // indexed (EnsureIndexes builds from atoms() wholesale); afterwards every
   // insertion appends incrementally. Acquire pairs with EnsureIndexes'

@@ -1,9 +1,8 @@
 // The row-oriented FactStore backend: the historical Instance layout.
 //
-// One hash entry per atom (exact membership), plus hash-map indexes
-// by predicate and by (predicate, position, term). Index vectors are
-// appended in insertion order, so every lookup result is ascending by
-// construction.
+// Hash-map indexes by predicate and by (predicate, position, term); exact
+// membership is FactStore's shared flat table. Index vectors are appended
+// in insertion order, so every lookup result is ascending by construction.
 //
 // The hash-map indexes are built lazily on the first index query (and
 // maintained incrementally afterwards): a store that is only ever scanned
@@ -28,29 +27,12 @@ class RowStore final : public FactStore {
  public:
   StorageKind kind() const override { return StorageKind::kRow; }
 
-  /// Deep copy: membership + (if built) hash indexes are copied, cached
-  /// run snapshots are shared (they are immutable once published).
+  /// Deep copy: the membership table and (if built) the hash indexes are
+  /// copied, cached run snapshots are shared (they are immutable once
+  /// published).
   std::unique_ptr<FactStore> Clone() const override;
 
   bool AddAtom(const Atom& atom) override;
-
-  /// Bulk append: reserves the membership map for the batch's final size
-  /// once instead of rehashing along the way.
-  void AddAtoms(const Atom* begin, const Atom* end) override {
-    ReserveAtoms(static_cast<std::size_t>(end - begin));
-    pos_.reserve(size() + static_cast<std::size_t>(end - begin));
-    for (const Atom* a = begin; a != end; ++a) AddAtom(*a);
-  }
-  using FactStore::AddAtoms;
-
-  bool Contains(const Atom& atom) const override {
-    return pos_.find(atom) != pos_.end();
-  }
-
-  std::size_t IndexOf(const Atom& atom) const override {
-    auto it = pos_.find(atom);
-    return it == pos_.end() ? SIZE_MAX : it->second;
-  }
 
   const std::vector<std::uint32_t>& AtomsWith(PredicateId pred) const override;
   IndexView AtomsWith(PredicateId pred, int pos, Term t) const override;
@@ -100,7 +82,6 @@ class RowStore final : public FactStore {
     std::uint32_t run_end = 0;         // the single run's exclusive end
   };
 
-  std::unordered_map<Atom, std::size_t> pos_;
   mutable std::unordered_map<PredicateId, std::vector<std::uint32_t>>
       by_pred_;
   mutable std::unordered_map<PosKey, std::vector<std::uint32_t>, PosKeyHash>

@@ -58,8 +58,8 @@ bool IsQuick(const RuleSet& rules, const std::vector<Instance>& test_instances,
       bool qualifies = true;
       for (Term t : beta.args()) {
         if (db.InActiveDomain(t)) continue;
-        const ChaseTermInfo* info = chase.InfoOf(t);
-        if (info == nullptr) {
+        const std::optional<ChaseTermInfo> info = chase.InfoOf(t);
+        if (!info.has_value()) {
           qualifies = false;  // foreign term (cannot happen in practice)
           break;
         }

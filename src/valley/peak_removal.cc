@@ -96,8 +96,8 @@ PeakRemovalResult PeakRemover::Run(Term s, Term t) const {
     }
 
     Term image = current->hom.Apply(peak);
-    const ChaseTermInfo* info = chase_->InfoOf(image);
-    if (info == nullptr) {
+    const std::optional<ChaseTermInfo> info = chase_->InfoOf(image);
+    if (!info.has_value()) {
       result.failure_reason =
           "peak image is a database term; no creating trigger to splice";
       return result;

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "chase/chase.h"
+#include "chase/rule_scheduler.h"
 #include "homomorphism/homomorphism.h"
 #include "logic/parser.h"
+#include "obs/obs.h"
 
 namespace bddfc {
 namespace {
@@ -79,13 +81,13 @@ TEST_F(ChaseTest, TimestampsAndFrontiers) {
   Term b = u_.FindConstant("b");
   EXPECT_EQ(chase.TimestampOf(a), 0);
   EXPECT_EQ(chase.TimestampOf(b), 0);
-  EXPECT_EQ(chase.InfoOf(a), nullptr);
+  EXPECT_FALSE(chase.InfoOf(a).has_value());
   // Chase terms have increasing timestamps and their frontier is the
   // previous node of the chain.
   int seen_depth[4] = {0, 0, 0, 0};
   for (Term t : chase.Result().ActiveDomain()) {
-    const ChaseTermInfo* info = chase.InfoOf(t);
-    if (info == nullptr) continue;
+    const std::optional<ChaseTermInfo> info = chase.InfoOf(t);
+    if (!info.has_value()) continue;
     ASSERT_GE(info->timestamp, 1);
     ASSERT_LE(info->timestamp, 3);
     ++seen_depth[info->timestamp];
@@ -432,6 +434,176 @@ TEST_F(ChaseTest, ChaseOfTopOnlyInstance) {
   chase.Run();
   PredicateId e = u_.FindPredicate("E");
   EXPECT_EQ(chase.Result().AtomsWith(e).size(), 4u);
+}
+
+// --- Trigger ledger edge cases ----------------------------------------------
+
+TEST_F(ChaseTest, SemiObliviousEmptyFrontierFiresOnce) {
+  // P(x) -> Q(y) has an empty frontier: under the semi-oblivious identity
+  // every body image is the same (zero-width) trigger, so it fires once
+  // and invents one null however many P facts there are — naive or not.
+  for (bool naive : {false, true}) {
+    SCOPED_TRACE(naive ? "naive" : "delta");
+    Universe u;
+    RuleSet rules = MustParseRuleSet(&u, "P(x) -> Q(y)");
+    std::string facts;
+    for (int i = 0; i < 50; ++i) facts += "P(c" + std::to_string(i) + "). ";
+    Instance db = MustParseInstance(&u, facts);
+    ChaseOptions options;
+    options.variant = ChaseVariant::kSemiOblivious;
+    options.naive_enumeration = naive;
+    options.exec.max_steps = 8;
+    ObliviousChase chase(db, rules, options);
+    chase.Run();
+    EXPECT_TRUE(chase.Saturated());
+    EXPECT_EQ(chase.TriggersFired(), 1u);
+    EXPECT_EQ(u.num_nulls(), 1u);
+    EXPECT_EQ(chase.Result().AtomsWith(u.FindPredicate("Q")).size(), 1u);
+    const RuleSchedulerStats& stats = chase.scheduler().stats();
+    EXPECT_EQ(stats.candidates[0] - stats.ledger_rejected[0], 1u);
+  }
+}
+
+// --- Provenance records -------------------------------------------------------
+
+// Checks every null of `own` against its own provenance and against a
+// second chase `other` on the same universe; returns the null count.
+std::size_t CheckOwnNulls(const ObliviousChase& own,
+                          const ObliviousChase& other) {
+  std::size_t nulls = 0;
+  for (Term t : own.Result().ActiveDomain()) {
+    if (!t.IsNull()) {
+      EXPECT_EQ(own.TimestampOf(t), 0);
+      continue;
+    }
+    ++nulls;
+    EXPECT_FALSE(other.InfoOf(t).has_value());
+    EXPECT_EQ(other.TimestampOf(t), 0);
+    const std::optional<ChaseTermInfo> info = own.InfoOf(t);
+    if (!info.has_value()) {
+      ADD_FAILURE() << "null without provenance";
+      continue;
+    }
+    EXPECT_EQ(own.TimestampOf(t), info->timestamp);
+    // The creating trigger maps an existential to t, and its body image
+    // lies in the chase, derived strictly before TS(t).
+    const Rule& rule = own.rules()[info->rule_index];
+    bool invents_t = false;
+    for (Term x : rule.existentials()) {
+      invents_t = invents_t || info->trigger.Apply(x) == t;
+    }
+    EXPECT_TRUE(invents_t);
+    for (const Atom& body : rule.body()) {
+      const std::size_t idx = own.Result().IndexOf(info->trigger.Apply(body));
+      EXPECT_NE(idx, SIZE_MAX);
+      if (idx != SIZE_MAX) {
+        EXPECT_LT(own.StepOfAtom(idx), info->timestamp);
+      }
+    }
+    // TS(t) is the first step whose atoms mention t.
+    int first = -1;
+    for (std::size_t i = 0; i < own.Result().size(); ++i) {
+      if (own.Result().atoms()[i].Mentions(t)) {
+        first = own.StepOfAtom(i);
+        break;
+      }
+    }
+    EXPECT_EQ(first, info->timestamp);
+  }
+  return nulls;
+}
+
+TEST_F(ChaseTest, InterleavedChasesOnOneUniverseKeepTheirProvenance) {
+  // Two chases draw fresh nulls from one universe in interleaved rounds, so
+  // each chase's nulls ascend but are not contiguous. Every lookup must
+  // still find exactly the chase's own nulls with their creating triggers.
+  RuleSet chain = MustParseRuleSet(&u_, "E(x,y) -> E(y,z)");
+  RuleSet pq = MustParseRuleSet(&u_,
+                                "P(x) -> Q(x,y)\n"
+                                "Q(x,y) -> P(y)\n");
+  ObliviousChase a(MustParseInstance(&u_, "E(a,b)."), chain,
+                   {.exec = {.max_steps = 6}});
+  ObliviousChase b(MustParseInstance(&u_, "P(c). P(d)."), pq,
+                   {.exec = {.max_steps = 6}});
+  for (std::size_t k = 1; k <= 6; ++k) {
+    a.RunSteps(k);
+    b.RunSteps(k);
+  }
+  ASSERT_EQ(a.StepsExecuted(), 6u);
+  ASSERT_EQ(b.StepsExecuted(), 6u);
+  const std::size_t a_nulls = CheckOwnNulls(a, b);
+  const std::size_t b_nulls = CheckOwnNulls(b, a);
+  EXPECT_EQ(a_nulls, 6u);
+  EXPECT_EQ(b_nulls, 6u);
+  EXPECT_EQ(a_nulls + b_nulls, u_.num_nulls());
+}
+
+TEST_F(ChaseTest, AddedBaseFactsReportDatabaseProvenance) {
+  RuleSet rules = MustParseRuleSet(&u_, "E(x,y) -> F(y,z)");
+  Instance db = MustParseInstance(&u_, "E(a,b).");
+  ObliviousChase chase(db, rules, {.exec = {.max_steps = 8}});
+  chase.Run();
+  ASSERT_TRUE(chase.Saturated());
+  PredicateId e = u_.FindPredicate("E");
+  Term c = u_.InternConstant("c");
+  Term d = u_.InternConstant("d");
+  const Atom fact(e, {c, d});
+  ASSERT_EQ(chase.AddBaseFacts({fact}), 1u);
+  const std::size_t idx = chase.Result().IndexOf(fact);
+  ASSERT_NE(idx, SIZE_MAX);
+  EXPECT_TRUE(chase.ProvenanceOf(idx).database);
+  EXPECT_EQ(chase.StepOfAtom(idx), 0);
+  chase.Run();
+  // The resumed round derives F(d, n) from the inserted fact.
+  ASSERT_EQ(chase.Result().size(), idx + 2);
+  const ObliviousChase::AtomProvenance p = chase.ProvenanceOf(idx + 1);
+  EXPECT_FALSE(p.database);
+  EXPECT_EQ(p.rule_index, 0u);
+  EXPECT_EQ(p.trigger.Apply(u_.FindVariable("y")), d);
+  EXPECT_TRUE(chase.ProvenanceOf(idx).database);
+}
+
+// --- Per-rule work counters ---------------------------------------------------
+
+TEST_F(ChaseTest, PerRuleCountersAccountForEveryAtom) {
+  // The university ontology of examples/, semi-oblivious.
+  RuleSet rules = MustParseRuleSet(
+      &u_,
+      "[advisor]    Student(s) -> Advises(p,s), Prof(p)\n"
+      "[dept]       Prof(p) -> WorksIn(p,d), Dept(d)\n"
+      "[coadvised]  Advises(p,s), Advises(q,s) -> Colleague(p,q)\n"
+      "[colltrans]  Colleague(p,q), Colleague(q,r) -> Colleague(p,r)\n");
+  Instance db = MustParseInstance(
+      &u_,
+      "Student(alice). Student(bob). Student(carol).\n"
+      "Prof(turing).\n"
+      "Advises(turing,alice). Advises(turing,bob).\n");
+  obs::MetricsRegistry metrics;
+  ChaseOptions options;
+  options.variant = ChaseVariant::kSemiOblivious;
+  options.exec.max_steps = 32;
+  options.exec.metrics = &metrics;
+  ObliviousChase chase(db, rules, options);
+  chase.Run();
+  ASSERT_TRUE(chase.Saturated());
+  const RuleSchedulerStats& stats = chase.scheduler().stats();
+  std::size_t atoms_new = 0, candidates = 0, rejected = 0, duplicates = 0;
+  for (std::size_t r = 0; r < rules.size(); ++r) {
+    SCOPED_TRACE(rules[r].label());
+    EXPECT_GE(stats.candidates[r] - stats.ledger_rejected[r], stats.fired[r]);
+    EXPECT_GT(stats.fired[r], 0u);
+    atoms_new += stats.atoms_new[r];
+    candidates += stats.candidates[r];
+    rejected += stats.ledger_rejected[r];
+    duplicates += stats.atoms_duplicate[r];
+  }
+  EXPECT_EQ(atoms_new, chase.Result().size() - db.size());
+  EXPECT_GT(duplicates, 0u);
+  // The registry mirrors the totals.
+  EXPECT_EQ(metrics.GetCounter("chase.atoms_new")->Value(), atoms_new);
+  EXPECT_EQ(metrics.GetCounter("chase.candidates")->Value(), candidates);
+  EXPECT_EQ(metrics.GetCounter("chase.ledger_rejected")->Value(), rejected);
+  EXPECT_EQ(metrics.GetCounter("chase.atoms_duplicate")->Value(), duplicates);
 }
 
 }  // namespace

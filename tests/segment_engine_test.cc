@@ -186,10 +186,10 @@ void ExpectIdentical(const EngineRun& a, const EngineRun& b) {
   ASSERT_EQ(a.universe.num_nulls(), b.universe.num_nulls());
   for (Term t : x.Result().ActiveDomain()) {
     EXPECT_EQ(x.TimestampOf(t), y.TimestampOf(t));
-    const ChaseTermInfo* ix = x.InfoOf(t);
-    const ChaseTermInfo* iy = y.InfoOf(t);
-    ASSERT_EQ(ix == nullptr, iy == nullptr);
-    if (ix == nullptr) continue;
+    const std::optional<ChaseTermInfo> ix = x.InfoOf(t);
+    const std::optional<ChaseTermInfo> iy = y.InfoOf(t);
+    ASSERT_EQ(ix.has_value(), iy.has_value());
+    if (!ix.has_value()) continue;
     EXPECT_EQ(ix->timestamp, iy->timestamp);
     EXPECT_EQ(ix->frontier, iy->frontier);
     EXPECT_EQ(ix->rule_index, iy->rule_index);

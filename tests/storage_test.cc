@@ -565,6 +565,110 @@ TEST(Storage, CloneAcrossBackendsPreservesContent) {
   }
 }
 
+// --- Shared membership table -------------------------------------------------
+// Both backends answer Contains/IndexOf from FactStore's one flat
+// open-addressing table; these drive it through its growth path directly.
+
+TEST(StorageMembershipTest, MembershipSurvivesManyRehashes) {
+  for (StorageKind kind : kBackends) {
+    SCOPED_TRACE(ToString(kind));
+    Universe u;
+    PredicateId e = u.InternPredicate("E", 2);
+    std::vector<Term> consts;
+    for (int c = 0; c < 200; ++c) {
+      consts.push_back(u.InternConstant("c" + std::to_string(c)));
+    }
+    std::unique_ptr<FactStore> store = FactStore::Create(kind);
+    // 20000 atoms from an empty table: a dozen doublings, each re-placing
+    // every stored index.
+    std::vector<Atom> added;
+    for (int i = 0; i < 200; ++i) {
+      for (int j = 0; j < 100; ++j) {
+        const Atom atom(e, {consts[i], consts[(i + 7 * j) % 200]});
+        ASSERT_TRUE(store->AddAtom(atom));
+        added.push_back(atom);
+        // Re-adding is rejected and changes nothing.
+        ASSERT_FALSE(store->AddAtom(atom));
+      }
+      // Spot-check the oldest and the newest atom after every batch.
+      ASSERT_EQ(store->IndexOf(added.front()), 0u);
+      ASSERT_EQ(store->IndexOf(added.back()), added.size() - 1);
+    }
+    ASSERT_EQ(store->size(), added.size());
+    for (std::size_t i = 0; i < added.size(); ++i) {
+      ASSERT_TRUE(store->Contains(added[i])) << "atom " << i;
+      ASSERT_EQ(store->IndexOf(added[i]), i) << "atom " << i;
+    }
+  }
+}
+
+TEST(StorageMembershipTest, AbsentAtomsAreNotFound) {
+  for (StorageKind kind : kBackends) {
+    SCOPED_TRACE(ToString(kind));
+    Universe u;
+    PredicateId e = u.InternPredicate("E", 2);
+    PredicateId p = u.InternPredicate("P", 1);
+    Term a = u.InternConstant("a"), b = u.InternConstant("b");
+    std::unique_ptr<FactStore> store = FactStore::Create(kind);
+    // An empty store has no table yet.
+    EXPECT_EQ(store->IndexOf(Atom(e, {a, b})), SIZE_MAX);
+    EXPECT_FALSE(store->Contains(Atom(e, {a, b})));
+    store->AddAtom(Atom(e, {a, b}));
+    store->AddAtom(Atom(p, {a}));
+    // Same terms, other order / other predicate: absent.
+    EXPECT_EQ(store->IndexOf(Atom(e, {b, a})), SIZE_MAX);
+    EXPECT_EQ(store->IndexOf(Atom(p, {b})), SIZE_MAX);
+    EXPECT_FALSE(store->Contains(Atom(e, {a, a})));
+    EXPECT_EQ(store->IndexOf(Atom(p, {a})), 1u);
+  }
+}
+
+TEST(StorageMembershipTest, CloneIsIndependentOfItsSource) {
+  for (StorageKind kind : kBackends) {
+    SCOPED_TRACE(ToString(kind));
+    Universe u;
+    PredicateId e = u.InternPredicate("E", 2);
+    std::vector<Term> consts;
+    for (int c = 0; c < 100; ++c) {
+      consts.push_back(u.InternConstant("c" + std::to_string(c)));
+    }
+    std::unique_ptr<FactStore> original = FactStore::Create(kind);
+    for (int i = 0; i < 99; ++i) {
+      original->AddAtom(Atom(e, {consts[i], consts[i + 1]}));
+    }
+    std::unique_ptr<FactStore> clone = original->Clone();
+    EXPECT_EQ(clone->kind(), kind);
+    ASSERT_EQ(clone->size(), original->size());
+    for (std::size_t i = 0; i < original->size(); ++i) {
+      EXPECT_EQ(clone->IndexOf(original->atoms()[i]), i);
+    }
+    // Grow the clone well past its copied table: the original's table and
+    // atoms must not see any of it.
+    std::vector<Atom> extra;
+    for (int i = 0; i < 100; ++i) {
+      for (int j = 0; j < 10; ++j) {
+        extra.push_back(Atom(e, {consts[i], consts[(i + 11 + j) % 100]}));
+      }
+    }
+    for (const Atom& atom : extra) clone->AddAtom(atom);
+    EXPECT_EQ(original->size(), 99u);
+    for (const Atom& atom : extra) {
+      if (clone->IndexOf(atom) >= 99) {
+        EXPECT_FALSE(original->Contains(atom));
+        EXPECT_EQ(original->IndexOf(atom), SIZE_MAX);
+      }
+    }
+    // And the other way round: the original grows on its own.
+    const Atom fresh(e, {consts[0], consts[0]});
+    ASSERT_TRUE(original->AddAtom(fresh));
+    EXPECT_EQ(original->IndexOf(fresh), 99u);
+    EXPECT_NE(clone->IndexOf(fresh), 99u);
+    for (std::size_t i = 0; i < 99; ++i) {
+      EXPECT_EQ(original->IndexOf(clone->atoms()[i]), i);
+    }
+  }
+}
+
 // --- IndexView generation guard ---------------------------------------------
 // Borrowed views are invalidated by mutation; in debug builds the captured
 // generation counter turns a deref of a stale view into a CHECK failure.

@@ -525,9 +525,13 @@ int main(int argc, char** argv) {
       for (std::size_t r = 0; r < reasoner.rules().size(); ++r) {
         const std::string& label = reasoner.rules()[r].label();
         std::printf("%s\n    {\"rule\": %zu, \"label\": \"%s\", "
-                    "\"fired\": %zu, \"skipped\": %zu}",
+                    "\"candidates\": %zu, \"ledger_rejected\": %zu, "
+                    "\"fired\": %zu, \"atoms_new\": %zu, "
+                    "\"atoms_duplicate\": %zu, \"skipped\": %zu}",
                     r == 0 ? "" : ",", r, JsonEscape(label).c_str(),
-                    sched_stats->fired[r], sched_stats->skipped[r]);
+                    sched_stats->candidates[r], sched_stats->ledger_rejected[r],
+                    sched_stats->fired[r], sched_stats->atoms_new[r],
+                    sched_stats->atoms_duplicate[r], sched_stats->skipped[r]);
       }
     }
     std::printf("%s],\n",
