@@ -2,6 +2,14 @@
 
 #include "bench/harness.h"
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "base/check.h"
 #include "base/rng.h"
 #include "chase/chase.h"
 #include "homomorphism/homomorphism.h"
@@ -93,7 +101,107 @@ void BM_CoreComputation(bench::State& state) {
 }
 BENCHMARK(BM_CoreComputation);
 
+// Best-of-kReps wall nanoseconds of `run`, which returns its result count.
+template <typename Run>
+double BestNs(const Run& run, std::size_t* results) {
+  constexpr int kReps = 5;
+  double best = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < kReps; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    *results = run();
+    best = std::min(best, std::chrono::duration<double, std::nano>(
+                              std::chrono::steady_clock::now() - start)
+                              .count());
+  }
+  return best;
+}
+
 }  // namespace
 }  // namespace bddfc
+
+// The two slot-image hot paths, reported per homomorphism: the chase's
+// delta-anchored trigger search (Example 1's transitivity body over the
+// transitive closure of a 200-edge path, the last growing chase step as
+// the delta window) and the query path's answer projection (one atom,
+// 10^5 facts).
+BDDFC_BENCH_EXPERIMENT(hom_slot_paths) {
+  using namespace bddfc;
+  {
+    Universe u;
+    RuleSet rules = MustParseRuleSet(&u, "E(x,y), E(y,z) -> E(x,z)");
+    std::string facts;
+    for (int i = 0; i < 200; ++i) {
+      facts += "E(v" + std::to_string(i) + ",v" + std::to_string(i + 1) +
+               "). ";
+    }
+    ObliviousChase chase(MustParseInstance(&u, facts), rules);
+    chase.Run();
+    BDDFC_CHECK(chase.Saturated());
+    // The last step that added atoms (a final step may fire only
+    // duplicates).
+    std::size_t last = chase.StepsExecuted();
+    while (last > 1 &&
+           chase.AtomCountAtStep(last) == chase.AtomCountAtStep(last - 1)) {
+      --last;
+    }
+    const auto delta_begin =
+        static_cast<std::uint32_t>(chase.AtomCountAtStep(last - 1));
+    const auto delta_end =
+        static_cast<std::uint32_t>(chase.AtomCountAtStep(last));
+    const Rule& rule = rules.front();
+    HomSearch search(rule.body(), &chase.Result(), {}, rule.body_vars());
+    std::size_t homs = 0;
+    const double ns = BestNs(
+        [&] {
+          std::size_t sum = 0;
+          const std::size_t n = search.ForEachDelta(
+              {}, delta_begin, delta_end, [&](const Term* image) {
+                sum += image[0].raw();
+                return true;
+              });
+          bench::DoNotOptimize(sum);
+          return n;
+        },
+        &homs);
+    BDDFC_CHECK_GT(homs, 0u);
+    ctx.Metric("delta_anchor/homs", static_cast<double>(homs));
+    ctx.Metric("delta_anchor/ns_per_hom", ns / homs);
+    std::printf("  delta-anchored E(x,y),E(y,z): %zu homs, %.1f ns/hom\n",
+                homs, ns / homs);
+  }
+  {
+    constexpr int kFacts = 100000;
+    Universe u;
+    Instance db(&u);
+    const PredicateId takes = u.InternPredicate("Takes", 2);
+    std::vector<Term> courses;
+    for (int c = 0; c < 100; ++c) {
+      courses.push_back(u.InternConstant("c" + std::to_string(c)));
+    }
+    for (int i = 0; i < kFacts; ++i) {
+      db.AddAtom(Atom(takes, {u.InternConstant("s" + std::to_string(i)),
+                              courses[i % courses.size()]}));
+    }
+    Cq q = MustParseCq(&u, "?(s) :- Takes(s,c)");
+    HomSearch search(q.atoms(), &db);
+    const std::vector<std::size_t> columns = {search.SlotOf(q.answers()[0])};
+    std::vector<Term> rows;
+    std::size_t count = 0;
+    const double ns = BestNs(
+        [&] {
+          rows.clear();
+          const std::size_t n = search.Project(columns, &rows);
+          bench::DoNotOptimize(rows.data());
+          return n;
+        },
+        &count);
+    BDDFC_CHECK_EQ(count, static_cast<std::size_t>(kFacts));
+    ctx.Metric("project/rows", static_cast<double>(count));
+    ctx.Metric("project/ns_per_hom", ns / count);
+    std::printf("  one-atom answer projection: %zu rows, %.1f ns/hom\n",
+                count, ns / count);
+  }
+  return 0;
+}
 
 BENCHMARK_MAIN();

@@ -1,5 +1,6 @@
 #include "api/reasoner.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -88,6 +89,15 @@ std::optional<AnswerTuple> AnswerCursor::Next() {
 
 namespace {
 
+// The search slots holding a disjunct's answer variables, in answer order.
+std::vector<std::size_t> AnswerSlots(const Cq& disjunct,
+                                     const HomSearch& search) {
+  std::vector<std::size_t> columns;
+  columns.reserve(disjunct.answers().size());
+  for (Term v : disjunct.answers()) columns.push_back(search.SlotOf(v));
+  return columns;
+}
+
 // Projected, null-filtered (not yet deduplicated) answers of one disjunct
 // through one bound search, in homomorphism enumeration order. Shared by
 // the live path (the plan's own searches) and the snapshot-pinned path
@@ -102,19 +112,35 @@ std::vector<AnswerTuple> EvaluateOne(const Cq& disjunct,
     if (search.ExistsParallel(pool)) return {AnswerTuple{}};
     return {};
   }
+  const std::vector<std::size_t> columns = AnswerSlots(disjunct, search);
+  std::vector<Term> rows;
+  const std::size_t count = search.Project(columns, &rows, pool);
   std::vector<AnswerTuple> out;
-  for (const Substitution& h : search.FindAllParallel(pool)) {
-    AnswerTuple tuple = h.ApplyTuple(disjunct.answers());
-    bool certain = true;
-    for (Term t : tuple) {
-      if (t.IsNull()) {
-        certain = false;
-        break;
-      }
+  for (std::size_t i = 0; i < count; ++i) {
+    const Term* row = rows.data() + i * columns.size();
+    if (std::none_of(row, row + columns.size(),
+                     [](Term t) { return t.IsNull(); })) {
+      out.emplace_back(row, row + columns.size());
     }
-    if (certain) out.push_back(std::move(tuple));
   }
   return out;
+}
+
+// True iff `search` has a homomorphism whose answer slots are null-free
+// (a certain answer of `disjunct`); stops at the first one.
+bool HasCertainAnswer(const Cq& disjunct, const HomSearch& search,
+                      ThreadPool* pool) {
+  if (disjunct.answers().empty()) return search.ExistsParallel(pool);
+  const std::vector<std::size_t> columns = AnswerSlots(disjunct, search);
+  bool found = false;
+  search.ForEachImage({}, [&](const Term* image) {
+    for (std::size_t c : columns) {
+      if (image[c].IsNull()) return true;  // not certain; keep searching
+    }
+    found = true;
+    return false;
+  });
+  return found;
 }
 
 }  // namespace
@@ -132,20 +158,9 @@ bool PreparedQuery::complete() const {
 
 bool PreparedQuery::Ask() const {
   for (std::size_t i = 0; i < searches_.size(); ++i) {
-    const Cq& disjunct = evaluated_.disjuncts()[i];
-    if (disjunct.answers().empty()) {
-      if (searches_[i].ExistsParallel(pool_)) return true;
-      continue;
+    if (HasCertainAnswer(evaluated_.disjuncts()[i], searches_[i], pool_)) {
+      return true;
     }
-    bool found = false;
-    searches_[i].ForEach({}, [&](const Substitution& h) {
-      for (Term v : disjunct.answers()) {
-        if (h.Apply(v).IsNull()) return true;  // not certain; keep searching
-      }
-      found = true;
-      return false;
-    });
-    if (found) return true;
   }
   return false;
 }
@@ -186,19 +201,7 @@ bool PreparedQuery::AskOn(const Instance& target, ThreadPool* pool) const {
   (void)pool;  // existence short-circuits; fan-out never pays for itself
   for (const Cq& disjunct : evaluated_.disjuncts()) {
     HomSearch search(disjunct.atoms(), &target);
-    if (disjunct.answers().empty()) {
-      if (search.Exists()) return true;
-      continue;
-    }
-    bool found = false;
-    search.ForEach({}, [&](const Substitution& h) {
-      for (Term v : disjunct.answers()) {
-        if (h.Apply(v).IsNull()) return true;  // not certain; keep searching
-      }
-      found = true;
-      return false;
-    });
-    if (found) return true;
+    if (HasCertainAnswer(disjunct, search, nullptr)) return true;
   }
   return false;
 }

@@ -119,7 +119,7 @@ struct ReasonerOptions {
       .max_depth = 6, .max_disjuncts = 128, .max_atoms_per_query = 16};
   /// Deprecated alias of chase.exec.num_threads. Execution threads,
   /// plumbed both into the chase and into prepared-query evaluation
-  /// (HomSearch::FindAllParallel over the session pool). 1 = serial,
+  /// (HomSearch::Project over the session pool). 1 = serial,
   /// 0 = all hardware threads. Answers are identical at any thread count.
   std::size_t num_threads = 1;
   /// Deprecated alias of chase.exec.storage. Storage backend for the

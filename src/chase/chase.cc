@@ -126,7 +126,8 @@ ObliviousChase::ObliviousChase(const Instance& database, RuleSet rules,
   atom_record_.assign(instance_.size(), kDatabaseRecord);
   rule_searches_.reserve(rules_.size());
   for (const Rule& rule : rules_) {
-    rule_searches_.emplace_back(rule.body(), &instance_);
+    rule_searches_.emplace_back(rule.body(), &instance_, HomOptions{},
+                                rule.body_vars());
   }
   // Frontier-variable positions: the restricted head check seeds from them
   // and the segment engine's semi-oblivious trigger identity projects
@@ -324,11 +325,12 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
                           parallel_ != nullptr ? parallel_->pool() : nullptr,
                           &rows);
   } else {
-    const auto collect = [this](std::size_t r, const Substitution& h,
+    // The rule searches bind in body_vars() slot order, so a homomorphism's
+    // slot image already is the trigger row.
+    const auto collect = [this](std::size_t r, const Term* image,
                                 exec::TriggerRows* batch) {
-      const std::vector<Term>& vars = rules_[r].body_vars();
-      Term* image = batch->Append(r, vars.size());
-      for (std::size_t i = 0; i < vars.size(); ++i) image[i] = h.Apply(vars[i]);
+      const std::size_t width = rules_[r].body_vars().size();
+      std::copy(image, image + width, batch->Append(r, width));
     };
     if (parallel_ != nullptr) {
       parallel_->CollectJobs(&rule_searches_, jobs, delta_end, collect,
@@ -338,12 +340,12 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
         const std::size_t r = job.rule_index;
         BDDFC_OBS_SPAN(search_span, "chase", "chase.hom_search");
         search_span.Arg("rule", r);
-        const auto visit = [&](const Substitution& h) {
-          collect(r, h, &rows);
+        const auto visit = [&](const Term* image) {
+          collect(r, image, &rows);
           return true;
         };
         if (job.full) {
-          rule_searches_[r].ForEach({}, visit);
+          rule_searches_[r].ForEachImage({}, visit);
         } else {
           rule_searches_[r].ForEachDelta({}, job.delta_begin, delta_end,
                                          visit);

@@ -243,8 +243,8 @@ void ParallelChase::CollectJobs(std::vector<HomSearch>* searches,
   RunUnits(
       pool_, units,
       [&](const Unit& unit, TriggerRows* batch) {
-        const auto visit = [&](const Substitution& h) {
-          collect(unit.rule, h, batch);
+        const auto visit = [&](const Term* image) {
+          collect(unit.rule, image, batch);
           return true;
         };
         if (unit.full) {

@@ -35,7 +35,6 @@
 
 #include "base/thread_pool.h"
 #include "homomorphism/homomorphism.h"
-#include "logic/substitution.h"
 #include "logic/term.h"
 
 namespace bddfc {
@@ -138,10 +137,11 @@ void SortCanonical(TriggerRows* rows,
 class ParallelChase {
  public:
   /// Collector invoked (concurrently, from pool workers) for every
-  /// enumerated body homomorphism of rule `rule_index`; it appends the
-  /// trigger's row to `batch`. Must be thread-safe.
+  /// enumerated body homomorphism of rule `rule_index`, given as the
+  /// search's slot image; it appends the trigger's row to `batch`. Must be
+  /// thread-safe.
   using CollectFn = std::function<void(
-      std::size_t rule_index, const Substitution& h, TriggerRows* batch)>;
+      std::size_t rule_index, const Term* image, TriggerRows* batch)>;
 
   /// Creates the executor with `num_threads` total execution threads: one
   /// is the caller (which participates while waiting), the rest are pool

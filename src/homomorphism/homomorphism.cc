@@ -4,6 +4,7 @@
 #include <atomic>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "base/check.h"
 
@@ -78,89 +79,86 @@ std::vector<std::size_t> GreedyOrderIndices(const std::vector<Atom>& atoms,
   return order;
 }
 
-std::vector<Atom> OrderForSearch(std::vector<Atom> atoms) {
-  std::vector<std::size_t> order = GreedyOrderIndices(atoms, -1);
-  std::vector<Atom> ordered;
-  ordered.reserve(atoms.size());
-  for (std::size_t i : order) ordered.push_back(std::move(atoms[i]));
-  return ordered;
-}
-
 // Allowed target-atom index range [lo, hi) for one source atom.
 using AtomRange = std::pair<std::uint32_t, std::uint32_t>;
 
 // Mutable search state shared by the recursion.
 struct SearchState {
-  const std::vector<Atom>* source;
-  const Instance* target;
-  bool injective;
-  // When non-null: per-depth image index ranges, parallel to *source
-  // (semi-naive delta anchoring). Null means unconstrained.
-  const std::vector<AtomRange>* ranges = nullptr;
-  std::unordered_map<Term, Term> assignment;
+  const internal::SlotProgram* program = nullptr;
+  const Instance* target = nullptr;
+  bool injective = false;
+  // When non-null: per-depth image index ranges, parallel to
+  // program->atoms (semi-naive delta anchoring). Null means unconstrained.
+  const AtomRange* ranges = nullptr;
+  // binding[s]: the image of slot s, invalid while unbound. trail lists the
+  // slots bound so far, in binding order, so a failed branch unbinds by
+  // truncating it.
+  std::vector<Term> binding;
+  std::vector<std::uint32_t> trail;
   std::unordered_set<Term> used;  // images, for injectivity
-  const std::function<bool(const Substitution&)>* visit;
+  const HomSearch::SlotVisitor* visit = nullptr;
   std::size_t visited = 0;
   bool stop = false;
 };
 
-// Resolves a source term under the current assignment; invalid if unbound.
-Term Resolve(const SearchState& st, Term t) {
-  if (t.IsRigid()) return t;
-  auto it = st.assignment.find(t);
-  return it == st.assignment.end() ? Term() : it->second;
-}
-
 void Search(SearchState* st, std::size_t depth);
 
-// Attempts to match source atom `a` against target atom `b`, binding fresh
-// variables; on success recurses, then undoes the bindings.
-void TryMatch(SearchState* st, const Atom& a, const Atom& b,
-              std::size_t depth) {
-  std::vector<Term> bound_here;
+// Attempts to match source atom `a` (argument slots `slots`) against target
+// atom `b`, binding unbound slots; on success recurses, then undoes the
+// bindings.
+void TryMatch(SearchState* st, const Atom& a, const std::int32_t* slots,
+              const Atom& b, std::size_t depth) {
+  const std::size_t mark = st->trail.size();
   bool ok = true;
   for (std::size_t p = 0; p < a.arity(); ++p) {
-    Term s = a.arg(p);
-    Term v = b.arg(p);
-    Term resolved = Resolve(*st, s);
-    if (resolved.IsValid()) {
-      if (resolved != v) {
+    const Term v = b.arg(p);
+    const std::int32_t s = slots[p];
+    if (s < 0) {
+      if (a.arg(p) != v) {
         ok = false;
         break;
       }
       continue;
     }
-    if (st->injective && st->used.find(v) != st->used.end()) {
+    Term& bound = st->binding[s];
+    if (bound.IsValid()) {
+      if (bound != v) {
+        ok = false;
+        break;
+      }
+      continue;
+    }
+    if (st->injective && !st->used.insert(v).second) {
       ok = false;
       break;
     }
-    st->assignment.emplace(s, v);
-    if (st->injective) st->used.insert(v);
-    bound_here.push_back(s);
+    bound = v;
+    st->trail.push_back(static_cast<std::uint32_t>(s));
   }
   if (ok) Search(st, depth + 1);
-  for (auto it = bound_here.rbegin(); it != bound_here.rend(); ++it) {
-    auto a_it = st->assignment.find(*it);
-    if (st->injective) st->used.erase(a_it->second);
-    st->assignment.erase(a_it);
+  while (st->trail.size() > mark) {
+    Term& bound = st->binding[st->trail.back()];
+    if (st->injective) st->used.erase(bound);
+    bound = Term();
+    st->trail.pop_back();
   }
 }
 
 void Search(SearchState* st, std::size_t depth) {
   if (st->stop) return;
-  if (depth == st->source->size()) {
-    Substitution result;
-    for (const auto& [from, to] : st->assignment) result.Bind(from, to);
+  const internal::SlotProgram& program = *st->program;
+  if (depth == program.atoms.size()) {
     ++st->visited;
-    if (!(*st->visit)(result)) st->stop = true;
+    if (!(*st->visit)(st->binding.data())) st->stop = true;
     return;
   }
-  const Atom& a = (*st->source)[depth];
+  const Atom& a = program.atoms[depth];
+  const std::int32_t* slots = program.slots.data() + program.offsets[depth];
   std::uint32_t lo = 0;
   std::uint32_t hi = static_cast<std::uint32_t>(st->target->size());
   if (st->ranges != nullptr) {
-    lo = (*st->ranges)[depth].first;
-    hi = std::min(hi, (*st->ranges)[depth].second);
+    lo = st->ranges[depth].first;
+    hi = std::min(hi, st->ranges[depth].second);
   }
   if (a.IsNullary()) {
     std::size_t idx = st->target->IndexOf(a);
@@ -170,7 +168,7 @@ void Search(SearchState* st, std::size_t depth) {
   // Pick the most selective candidate list available, clamped to [lo, hi).
   IndexView candidates = st->target->AtomsWithIn(a.pred(), lo, hi);
   for (std::size_t p = 0; p < a.arity(); ++p) {
-    Term resolved = Resolve(*st, a.arg(p));
+    const Term resolved = slots[p] < 0 ? a.arg(p) : st->binding[slots[p]];
     if (!resolved.IsValid()) continue;
     IndexView narrowed =
         st->target->AtomsWithIn(a.pred(), static_cast<int>(p), resolved, lo,
@@ -178,168 +176,26 @@ void Search(SearchState* st, std::size_t depth) {
     // Column-store views own their (merged) result; move, don't copy.
     if (narrowed.size() < candidates.size()) candidates = std::move(narrowed);
   }
+  const std::vector<Atom>& atoms = st->target->atoms();
   for (std::uint32_t idx : candidates) {
     if (st->stop) return;
-    TryMatch(st, a, st->target->atoms()[idx], depth);
+    TryMatch(st, a, slots, atoms[idx], depth);
   }
 }
 
-}  // namespace
-
-HomSearch::HomSearch(std::vector<Atom> source, const Instance* target,
-                     HomOptions options)
-    : source_(OrderForSearch(std::move(source))),
-      target_(target),
-      options_(options) {
-  BDDFC_CHECK(target != nullptr);
+// The (term, slot) entry of `t` in a term-sorted slot index, or null.
+const std::pair<Term, std::uint32_t>* FindSlot(
+    const std::vector<std::pair<Term, std::uint32_t>>& index, Term t) {
+  const auto it = std::lower_bound(
+      index.begin(), index.end(), t,
+      [](const std::pair<Term, std::uint32_t>& entry, Term key) {
+        return entry.first < key;
+      });
+  return it != index.end() && it->first == t ? &*it : nullptr;
 }
-
-namespace {
-
-// Seeds `st` from `seed` (and pre-populates the injectivity set). Returns
-// false when the seed is contradictory, i.e. no extension can exist.
-bool SeedState(const std::vector<Atom>& source, const Substitution& seed,
-               SearchState* st) {
-  for (const auto& [from, to] : seed.entries()) {
-    if (from.IsRigid()) {
-      if (from != to) return false;  // seed contradicts rigidity
-      continue;
-    }
-    auto [it, inserted] = st->assignment.emplace(from, to);
-    if (!inserted && it->second != to) return false;
-  }
-  if (st->injective) {
-    // Pre-populate the used set with rigid images and seed images; a seed
-    // collision means no injective extension exists.
-    std::unordered_set<Term> rigid_seen;
-    for (const Atom& a : source) {
-      for (Term t : a.args()) {
-        if (t.IsRigid() && rigid_seen.insert(t).second) {
-          if (!st->used.insert(t).second) return false;
-        }
-      }
-    }
-    for (const auto& [from, to] : st->assignment) {
-      (void)from;
-      if (!st->used.insert(to).second) return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-std::size_t HomSearch::ForEach(
-    const Substitution& seed,
-    const std::function<bool(const Substitution&)>& visit) const {
-  SearchState st;
-  st.source = &source_;
-  st.target = target_;
-  st.injective = options_.injective;
-  st.visit = &visit;
-  if (!SeedState(source_, seed, &st)) return 0;
-  Search(&st, 0);
-  return st.visited;
-}
-
-void HomSearch::EnsureAnchorOrders() const {
-  if (!anchor_orders_.empty() || source_.empty()) return;
-  anchor_orders_.reserve(source_.size());
-  anchor_atoms_.reserve(source_.size());
-  for (std::size_t i = 0; i < source_.size(); ++i) {
-    anchor_orders_.push_back(
-        GreedyOrderIndices(source_, static_cast<int>(i)));
-    std::vector<Atom> atoms;
-    atoms.reserve(source_.size());
-    for (std::size_t pos : anchor_orders_.back()) {
-      atoms.push_back(source_[pos]);
-    }
-    anchor_atoms_.push_back(std::move(atoms));
-  }
-}
-
-std::size_t HomSearch::ForEachDelta(
-    const Substitution& seed, std::uint32_t delta_begin,
-    std::uint32_t delta_end,
-    const std::function<bool(const Substitution&)>& visit) const {
-  if (delta_begin >= delta_end || source_.empty()) return 0;
-  EnsureAnchorOrders();
-  // Partition the qualifying homomorphisms by their *anchor*: the first
-  // source atom (in source_ order) whose image falls inside the delta.
-  // Anchor run i constrains source_[i] to the delta, source_[j] for j < i
-  // strictly below it, and later atoms to the delta_end prefix — each
-  // qualifying homomorphism is generated by exactly one run.
-  std::size_t total = 0;
-  bool stopped = false;
-  const auto wrapped = [&](const Substitution& h) {
-    if (!visit(h)) {
-      stopped = true;
-      return false;
-    }
-    return true;
-  };
-  for (std::size_t anchor = 0; anchor < source_.size(); ++anchor) {
-    total += ForEachDeltaAnchor(anchor, delta_begin, delta_end, delta_begin,
-                                delta_end, seed, wrapped);
-    if (stopped) break;
-  }
-  return total;
-}
-
-std::size_t HomSearch::ForEachDeltaAnchor(
-    std::size_t anchor, std::uint32_t delta_begin, std::uint32_t delta_end,
-    std::uint32_t anchor_begin, std::uint32_t anchor_end,
-    const Substitution& seed,
-    const std::function<bool(const Substitution&)>& visit) const {
-  if (anchor_begin >= anchor_end || source_.empty()) return 0;
-  EnsureAnchorOrders();
-  BDDFC_CHECK_LT(anchor, source_.size());
-  std::vector<AtomRange> run_ranges(source_.size());
-  const std::vector<std::size_t>& order = anchor_orders_[anchor];
-  for (std::size_t d = 0; d < order.size(); ++d) {
-    const std::size_t pos = order[d];
-    if (pos < anchor) {
-      run_ranges[d] = {0, delta_begin};
-    } else if (pos == anchor) {
-      run_ranges[d] = {anchor_begin, anchor_end};
-    } else {
-      run_ranges[d] = {0, delta_end};
-    }
-  }
-  SearchState st;
-  st.source = &anchor_atoms_[anchor];
-  st.target = target_;
-  st.injective = options_.injective;
-  st.ranges = &run_ranges;
-  st.visit = &visit;
-  if (!SeedState(anchor_atoms_[anchor], seed, &st)) return 0;
-  Search(&st, 0);
-  return st.visited;
-}
-
-std::size_t HomSearch::ForEachFirstIn(
-    std::uint32_t first_begin, std::uint32_t first_end,
-    const Substitution& seed,
-    const std::function<bool(const Substitution&)>& visit) const {
-  BDDFC_CHECK(!source_.empty());
-  const std::uint32_t n = static_cast<std::uint32_t>(target_->size());
-  std::vector<AtomRange> run_ranges(source_.size(), {0, n});
-  run_ranges[0] = {first_begin, first_end};
-  SearchState st;
-  st.source = &source_;
-  st.target = target_;
-  st.injective = options_.injective;
-  st.ranges = &run_ranges;
-  st.visit = &visit;
-  if (!SeedState(source_, seed, &st)) return 0;
-  Search(&st, 0);
-  return st.visited;
-}
-
-namespace {
 
 // Deterministic first-atom chunking shared by the pool-parallel queries:
-// chunk k of `chunks` covers [k*size, min(n, (k+1)*size)).
+// chunk k of `count` covers [k*size, min(n, (k+1)*size)).
 struct FirstAtomChunks {
   std::uint32_t size = 0;
   std::size_t count = 0;
@@ -359,36 +215,258 @@ FirstAtomChunks PlanFirstAtomChunks(std::uint32_t n, std::size_t workers) {
 
 }  // namespace
 
-std::vector<Substitution> HomSearch::FindAllParallel(
-    ThreadPool* pool, const Substitution& seed, std::size_t limit) const {
+HomSearch::HomSearch(std::vector<Atom> source, const Instance* target,
+                     HomOptions options, std::vector<Term> slot_order)
+    : target_(target), options_(options) {
+  BDDFC_CHECK(target != nullptr);
+  // Distinct flexible terms as (term, first occurrence), and the distinct
+  // rigid terms — sorted vectors, not hash sets: a search is often built
+  // per query call.
+  std::vector<std::pair<Term, std::uint32_t>> flexible;
+  for (const Atom& a : source) {
+    for (Term t : a.args()) {
+      if (t.IsRigid()) {
+        rigid_terms_.push_back(t);
+      } else {
+        flexible.emplace_back(t, static_cast<std::uint32_t>(flexible.size()));
+      }
+    }
+  }
+  std::sort(rigid_terms_.begin(), rigid_terms_.end());
+  rigid_terms_.erase(std::unique(rigid_terms_.begin(), rigid_terms_.end()),
+                     rigid_terms_.end());
+  std::sort(flexible.begin(), flexible.end());
+  flexible.erase(std::unique(flexible.begin(), flexible.end(),
+                             [](const auto& x, const auto& y) {
+                               return x.first == y.first;
+                             }),
+                 flexible.end());
+  if (slot_order.empty()) {
+    // Default layout: order of first occurrence.
+    std::vector<std::pair<Term, std::uint32_t>> by_occurrence = flexible;
+    std::sort(by_occurrence.begin(), by_occurrence.end(),
+              [](const auto& x, const auto& y) { return x.second < y.second; });
+    for (const auto& entry : by_occurrence) slot_terms_.push_back(entry.first);
+  } else {
+    slot_terms_ = std::move(slot_order);
+  }
+  slot_index_.reserve(slot_terms_.size());
+  for (std::size_t i = 0; i < slot_terms_.size(); ++i) {
+    slot_index_.emplace_back(slot_terms_[i], static_cast<std::uint32_t>(i));
+  }
+  std::sort(slot_index_.begin(), slot_index_.end());
+  // The layout lists every flexible source term exactly once: both lists,
+  // sorted by term, agree pairwise.
+  BDDFC_CHECK_EQ(slot_index_.size(), flexible.size());
+  for (std::size_t i = 0; i < flexible.size(); ++i) {
+    BDDFC_CHECK(slot_index_[i].first == flexible[i].first);
+  }
+  std::vector<Atom> ordered;
+  ordered.reserve(source.size());
+  for (std::size_t i : GreedyOrderIndices(source, -1)) {
+    ordered.push_back(std::move(source[i]));
+  }
+  program_ = Compile(std::move(ordered));
+}
+
+std::size_t HomSearch::SlotOf(Term t) const {
+  const std::pair<Term, std::uint32_t>* entry = FindSlot(slot_index_, t);
+  BDDFC_CHECK(entry != nullptr);
+  return entry->second;
+}
+
+internal::SlotProgram HomSearch::Compile(std::vector<Atom> ordered) const {
+  internal::SlotProgram program;
+  program.atoms = std::move(ordered);
+  program.offsets.reserve(program.atoms.size());
+  for (const Atom& a : program.atoms) {
+    program.offsets.push_back(static_cast<std::uint32_t>(program.slots.size()));
+    for (Term t : a.args()) {
+      program.slots.push_back(
+          t.IsRigid() ? -1 : static_cast<std::int32_t>(SlotOf(t)));
+    }
+  }
+  return program;
+}
+
+Substitution HomSearch::ToSubstitution(const Term* image) const {
+  Substitution h;
+  for (std::size_t i = 0; i < slot_terms_.size(); ++i) {
+    h.Bind(slot_terms_[i], image[i]);
+  }
+  return h;
+}
+
+std::size_t HomSearch::Run(const internal::SlotProgram& program,
+                           const AtomRange* ranges, const Substitution& seed,
+                           const SlotVisitor& visit) const {
+  SearchState st;
+  st.program = &program;
+  st.target = target_;
+  st.injective = options_.injective;
+  st.ranges = ranges;
+  st.visit = &visit;
+  st.binding.assign(slot_terms_.size(), Term());
+  st.trail.reserve(slot_terms_.size());
+  // Seed the slots. A rigid term binds only to itself; seed bindings of
+  // terms outside the source constrain nothing but injectivity.
+  for (const auto& [from, to] : seed.entries()) {
+    if (from.IsRigid()) {
+      if (from != to) return 0;  // seed contradicts rigidity
+      continue;
+    }
+    const std::pair<Term, std::uint32_t>* entry = FindSlot(slot_index_, from);
+    if (entry != nullptr) st.binding[entry->second] = to;
+  }
+  if (st.injective) {
+    // Reserve the rigid images and the seed images; a seed collision means
+    // no injective extension exists.
+    st.used.insert(rigid_terms_.begin(), rigid_terms_.end());
+    for (const auto& [from, to] : seed.entries()) {
+      if (!from.IsRigid() && !st.used.insert(to).second) return 0;
+    }
+  }
+  Search(&st, 0);
+  return st.visited;
+}
+
+std::size_t HomSearch::ForEachImage(const Substitution& seed,
+                                    const SlotVisitor& visit) const {
+  return Run(program_, nullptr, seed, visit);
+}
+
+std::size_t HomSearch::ForEach(
+    const Substitution& seed,
+    const std::function<bool(const Substitution&)>& visit) const {
+  // Seed bindings of terms outside the source ride along unchanged.
+  std::vector<std::pair<Term, Term>> outside;
+  for (const auto& [from, to] : seed.entries()) {
+    if (!from.IsRigid() && FindSlot(slot_index_, from) == nullptr) {
+      outside.emplace_back(from, to);
+    }
+  }
+  return ForEachImage(seed, [&](const Term* image) {
+    Substitution h = ToSubstitution(image);
+    for (const auto& [from, to] : outside) h.Bind(from, to);
+    return visit(h);
+  });
+}
+
+void HomSearch::EnsureAnchorPrograms() const {
+  if (!anchor_orders_.empty() || program_.atoms.empty()) return;
+  anchor_orders_.reserve(program_.atoms.size());
+  anchor_programs_.reserve(program_.atoms.size());
+  for (std::size_t i = 0; i < program_.atoms.size(); ++i) {
+    anchor_orders_.push_back(
+        GreedyOrderIndices(program_.atoms, static_cast<int>(i)));
+    std::vector<Atom> ordered;
+    ordered.reserve(program_.atoms.size());
+    for (std::size_t pos : anchor_orders_.back()) {
+      ordered.push_back(program_.atoms[pos]);
+    }
+    anchor_programs_.push_back(Compile(std::move(ordered)));
+  }
+}
+
+std::size_t HomSearch::ForEachDelta(const Substitution& seed,
+                                    std::uint32_t delta_begin,
+                                    std::uint32_t delta_end,
+                                    const SlotVisitor& visit) const {
+  if (delta_begin >= delta_end || program_.atoms.empty()) return 0;
+  // Partition the qualifying homomorphisms by their *anchor*: the first
+  // source atom (in search order) whose image falls inside the delta.
+  // Anchor run i constrains atom i to the delta, atoms j < i strictly below
+  // it, and later atoms to the delta_end prefix — each qualifying
+  // homomorphism is generated by exactly one run.
+  std::size_t total = 0;
+  bool stopped = false;
+  const SlotVisitor wrapped = [&](const Term* image) {
+    if (!visit(image)) {
+      stopped = true;
+      return false;
+    }
+    return true;
+  };
+  for (std::size_t anchor = 0; anchor < program_.atoms.size(); ++anchor) {
+    total += ForEachDeltaAnchor(anchor, delta_begin, delta_end, delta_begin,
+                                delta_end, seed, wrapped);
+    if (stopped) break;
+  }
+  return total;
+}
+
+std::size_t HomSearch::ForEachDeltaAnchor(
+    std::size_t anchor, std::uint32_t delta_begin, std::uint32_t delta_end,
+    std::uint32_t anchor_begin, std::uint32_t anchor_end,
+    const Substitution& seed, const SlotVisitor& visit) const {
+  if (anchor_begin >= anchor_end || program_.atoms.empty()) return 0;
+  EnsureAnchorPrograms();
+  BDDFC_CHECK_LT(anchor, program_.atoms.size());
+  const std::vector<std::size_t>& order = anchor_orders_[anchor];
+  std::vector<AtomRange> run_ranges(order.size());
+  for (std::size_t d = 0; d < order.size(); ++d) {
+    const std::size_t pos = order[d];
+    if (pos < anchor) {
+      run_ranges[d] = {0, delta_begin};
+    } else if (pos == anchor) {
+      run_ranges[d] = {anchor_begin, anchor_end};
+    } else {
+      run_ranges[d] = {0, delta_end};
+    }
+  }
+  return Run(anchor_programs_[anchor], run_ranges.data(), seed, visit);
+}
+
+std::size_t HomSearch::ForEachFirstIn(std::uint32_t first_begin,
+                                      std::uint32_t first_end,
+                                      const Substitution& seed,
+                                      const SlotVisitor& visit) const {
+  BDDFC_CHECK(!program_.atoms.empty());
+  const std::uint32_t n = static_cast<std::uint32_t>(target_->size());
+  std::vector<AtomRange> run_ranges(program_.atoms.size(), {0, n});
+  run_ranges[0] = {first_begin, first_end};
+  return Run(program_, run_ranges.data(), seed, visit);
+}
+
+std::size_t HomSearch::Project(const std::vector<std::size_t>& columns,
+                               std::vector<Term>* rows, ThreadPool* pool,
+                               std::size_t limit) const {
+  if (limit == 0) return 0;
+  const auto project = [&columns, limit](std::vector<Term>* out,
+                                         std::size_t* count) {
+    return [&columns, limit, out, count](const Term* image) {
+      for (std::size_t c : columns) out->push_back(image[c]);
+      return ++*count < limit;
+    };
+  };
   const std::uint32_t n = static_cast<std::uint32_t>(target_->size());
   const FirstAtomChunks plan =
       PlanFirstAtomChunks(n, pool == nullptr ? 0 : pool->num_workers());
-  if (pool == nullptr || pool->num_workers() == 0 || source_.empty() ||
-      plan.count < 2) {
-    return FindAll(seed, limit);
+  if (pool == nullptr || pool->num_workers() == 0 ||
+      program_.atoms.empty() || plan.count < 2) {
+    std::size_t count = 0;
+    ForEachImage({}, project(rows, &count));
+    return count;
   }
-  std::vector<std::vector<Substitution>> batches(plan.count);
+  std::vector<std::vector<Term>> batches(plan.count);
+  std::vector<std::size_t> counts(plan.count, 0);
   for (std::size_t k = 0; k < plan.count; ++k) {
     const std::uint32_t lo = static_cast<std::uint32_t>(k) * plan.size;
     const std::uint32_t hi = std::min(n, lo + plan.size);
     if (lo >= hi) break;
-    pool->Submit([this, &seed, &batches, k, lo, hi, limit] {
-      ForEachFirstIn(lo, hi, seed, [&](const Substitution& h) {
-        batches[k].push_back(h);
-        return batches[k].size() < limit;
-      });
+    pool->Submit([this, &project, &batches, &counts, k, lo, hi] {
+      ForEachFirstIn(lo, hi, {}, project(&batches[k], &counts[k]));
     });
   }
   pool->WaitAll();
-  std::vector<Substitution> out;
-  for (std::vector<Substitution>& batch : batches) {
-    for (Substitution& h : batch) {
-      if (out.size() >= limit) return out;
-      out.push_back(std::move(h));
-    }
+  std::size_t total = 0;
+  for (std::size_t k = 0; k < plan.count && total < limit; ++k) {
+    const std::size_t take = std::min(counts[k], limit - total);
+    rows->insert(rows->end(), batches[k].begin(),
+                 batches[k].begin() + take * columns.size());
+    total += take;
   }
-  return out;
+  return total;
 }
 
 bool HomSearch::ExistsParallel(ThreadPool* pool,
@@ -396,8 +474,8 @@ bool HomSearch::ExistsParallel(ThreadPool* pool,
   const std::uint32_t n = static_cast<std::uint32_t>(target_->size());
   const FirstAtomChunks plan =
       PlanFirstAtomChunks(n, pool == nullptr ? 0 : pool->num_workers());
-  if (pool == nullptr || pool->num_workers() == 0 || source_.empty() ||
-      plan.count < 2) {
+  if (pool == nullptr || pool->num_workers() == 0 ||
+      program_.atoms.empty() || plan.count < 2) {
     return Exists(seed);
   }
   std::atomic<bool> found{false};
@@ -407,7 +485,7 @@ bool HomSearch::ExistsParallel(ThreadPool* pool,
     if (lo >= hi) break;
     pool->Submit([this, &seed, &found, lo, hi] {
       if (found.load(std::memory_order_relaxed)) return;
-      ForEachFirstIn(lo, hi, seed, [&](const Substitution&) {
+      ForEachFirstIn(lo, hi, seed, [&](const Term*) {
         found.store(true, std::memory_order_relaxed);
         return false;
       });
@@ -422,18 +500,18 @@ std::size_t HomSearch::CountParallel(ThreadPool* pool,
   const std::uint32_t n = static_cast<std::uint32_t>(target_->size());
   const FirstAtomChunks plan =
       PlanFirstAtomChunks(n, pool == nullptr ? 0 : pool->num_workers());
-  if (pool == nullptr || pool->num_workers() == 0 || source_.empty() ||
-      plan.count < 2) {
-    return ForEach(seed, [](const Substitution&) { return true; });
+  const auto all = [](const Term*) { return true; };
+  if (pool == nullptr || pool->num_workers() == 0 ||
+      program_.atoms.empty() || plan.count < 2) {
+    return ForEachImage(seed, all);
   }
   std::vector<std::size_t> counts(plan.count, 0);
   for (std::size_t k = 0; k < plan.count; ++k) {
     const std::uint32_t lo = static_cast<std::uint32_t>(k) * plan.size;
     const std::uint32_t hi = std::min(n, lo + plan.size);
     if (lo >= hi) break;
-    pool->Submit([this, &seed, &counts, k, lo, hi] {
-      counts[k] = ForEachFirstIn(
-          lo, hi, seed, [](const Substitution&) { return true; });
+    pool->Submit([this, &seed, &counts, &all, k, lo, hi] {
+      counts[k] = ForEachFirstIn(lo, hi, seed, all);
     });
   }
   pool->WaitAll();
@@ -452,7 +530,7 @@ std::optional<Substitution> HomSearch::FindOne(const Substitution& seed) const {
 }
 
 bool HomSearch::Exists(const Substitution& seed) const {
-  return FindOne(seed).has_value();
+  return ForEachImage(seed, [](const Term*) { return false; }) != 0;
 }
 
 std::vector<Substitution> HomSearch::FindAll(const Substitution& seed,

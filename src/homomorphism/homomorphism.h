@@ -34,22 +34,56 @@ struct HomOptions {
   bool injective = false;
 };
 
+namespace internal {
+
+/// One compiled atom ordering of a HomSearch source: the atoms in search
+/// order and, for each argument, the binding slot of its term (-1 for a
+/// rigid term, which must match itself). atoms[d]'s slots start at
+/// slots[offsets[d]].
+struct SlotProgram {
+  std::vector<Atom> atoms;
+  std::vector<std::int32_t> slots;
+  std::vector<std::uint32_t> offsets;
+};
+
+}  // namespace internal
+
 /// Backtracking homomorphism solver from a set of atoms into an instance.
-/// Construct once per (source, target) pair; queries share the computed
-/// atom ordering.
+/// Construct once per (source, target) pair; queries share the compiled
+/// atom orderings.
+///
+/// Every flexible source term owns a binding slot. The search binds into
+/// one slot array with an undo trail and hands each homomorphism to a
+/// SlotVisitor as that array: image[i] is the image of slot_order()[i].
+/// The Substitution-visitor entry points (ForEach, FindOne, FindAll) are
+/// adapters over the same search for callers that want a map.
 class HomSearch {
  public:
-  HomSearch(std::vector<Atom> source, const Instance* target,
-            HomOptions options = {});
+  /// Receives one homomorphism as its slot image (slot_order().size()
+  /// terms, every one bound); returns false to stop the enumeration. The
+  /// pointer is valid only during the call.
+  using SlotVisitor = std::function<bool(const Term* image)>;
 
-  /// Finds one homomorphism extending `seed`, or nullopt.
+  /// `slot_order` fixes the slot layout: it must list every flexible
+  /// source term exactly once and nothing else. Empty means the flexible
+  /// source terms in order of first occurrence in `source`.
+  HomSearch(std::vector<Atom> source, const Instance* target,
+            HomOptions options = {}, std::vector<Term> slot_order = {});
+
+  /// Finds one homomorphism extending `seed`, or nullopt. The result also
+  /// carries the seed's bindings of terms outside the source.
   std::optional<Substitution> FindOne(const Substitution& seed = {}) const;
 
   /// True iff some homomorphism extending `seed` exists.
   bool Exists(const Substitution& seed = {}) const;
 
-  /// Enumerates homomorphisms extending `seed`; stops early when `visit`
-  /// returns false. Returns the number of homomorphisms visited.
+  /// Enumerates the homomorphisms extending `seed` as slot images; stops
+  /// early when `visit` returns false. Returns the number visited.
+  std::size_t ForEachImage(const Substitution& seed,
+                           const SlotVisitor& visit) const;
+
+  /// ForEachImage with each homomorphism as a Substitution (slot bindings
+  /// plus the seed's bindings of terms outside the source).
   std::size_t ForEach(const Substitution& seed,
                       const std::function<bool(const Substitution&)>& visit)
       const;
@@ -57,15 +91,14 @@ class HomSearch {
   /// Delta-anchored enumeration (semi-naive evaluation): visits exactly the
   /// homomorphisms extending `seed` whose image uses at least one target
   /// atom with index in [delta_begin, delta_end) and no atom with index
-  /// >= delta_end. Equivalent to ForEach over the delta_end-prefix filtered
-  /// a posteriori, but each source atom is iterated as the "delta anchor"
-  /// (anchor in the delta, earlier atoms strictly below it, later atoms
-  /// unconstrained), so every qualifying homomorphism is visited exactly
-  /// once and the search only scans index ranges that can qualify.
-  std::size_t ForEachDelta(
-      const Substitution& seed, std::uint32_t delta_begin,
-      std::uint32_t delta_end,
-      const std::function<bool(const Substitution&)>& visit) const;
+  /// >= delta_end. Equivalent to ForEachImage over the delta_end-prefix
+  /// filtered a posteriori, but each source atom is iterated as the "delta
+  /// anchor" (anchor in the delta, earlier atoms strictly below it, later
+  /// atoms unconstrained), so every qualifying homomorphism is visited
+  /// exactly once and the search only scans index ranges that can qualify.
+  std::size_t ForEachDelta(const Substitution& seed,
+                           std::uint32_t delta_begin, std::uint32_t delta_end,
+                           const SlotVisitor& visit) const;
 
   /// One anchor run of ForEachDelta, exposed so the parallel executor can
   /// schedule (anchor × delta-chunk) units independently: visits exactly
@@ -76,48 +109,59 @@ class HomSearch {
   /// all anchors with [anchor_begin, anchor_end) = [delta_begin, delta_end)
   /// — or over any partition of that range — reproduces ForEachDelta
   /// exactly. Call PrepareDelta() first when invoking from several threads.
-  std::size_t ForEachDeltaAnchor(
-      std::size_t anchor, std::uint32_t delta_begin, std::uint32_t delta_end,
-      std::uint32_t anchor_begin, std::uint32_t anchor_end,
-      const Substitution& seed,
-      const std::function<bool(const Substitution&)>& visit) const;
+  std::size_t ForEachDeltaAnchor(std::size_t anchor, std::uint32_t delta_begin,
+                                 std::uint32_t delta_end,
+                                 std::uint32_t anchor_begin,
+                                 std::uint32_t anchor_end,
+                                 const Substitution& seed,
+                                 const SlotVisitor& visit) const;
 
-  /// Like ForEach, but the image of ordered_source()[0] is restricted to
-  /// target atom indices in [first_begin, first_end); later atoms are
+  /// Like ForEachImage, but the image of ordered_source()[0] is restricted
+  /// to target atom indices in [first_begin, first_end); later atoms are
   /// unconstrained. Partitioning [0, target size) across such calls
   /// partitions the full enumeration, each chunk visiting its
-  /// homomorphisms in the same relative order ForEach would. The source
-  /// must be non-empty.
-  std::size_t ForEachFirstIn(
-      std::uint32_t first_begin, std::uint32_t first_end,
-      const Substitution& seed,
-      const std::function<bool(const Substitution&)>& visit) const;
+  /// homomorphisms in the same relative order ForEachImage would. The
+  /// source must be non-empty.
+  std::size_t ForEachFirstIn(std::uint32_t first_begin,
+                             std::uint32_t first_end, const Substitution& seed,
+                             const SlotVisitor& visit) const;
 
   /// Precomputes the per-anchor orderings so concurrent ForEachDeltaAnchor
   /// calls are read-only. Idempotent; must run before sharing this search
   /// across threads.
-  void PrepareDelta() const { EnsureAnchorOrders(); }
+  void PrepareDelta() const { EnsureAnchorPrograms(); }
 
   /// Number of source atoms — the delta-anchor index space.
-  std::size_t source_size() const { return source_.size(); }
+  std::size_t source_size() const { return program_.atoms.size(); }
+
+  /// The slot layout: slot_order()[i] is the term whose image a visitor
+  /// finds at image[i].
+  const std::vector<Term>& slot_order() const { return slot_terms_; }
+
+  /// The slot of flexible source term `t`; CHECK-fails for any other term.
+  std::size_t SlotOf(Term t) const;
+
+  /// A slot image as a Substitution over slot_order().
+  Substitution ToSubstitution(const Term* image) const;
 
   /// Collects up to `limit` homomorphisms extending `seed`.
   std::vector<Substitution> FindAll(const Substitution& seed = {},
                                     std::size_t limit = SIZE_MAX) const;
 
-  // --- Pool-parallel queries ------------------------------------------------
-  // All three partition the image candidates of the first source atom into
-  // index chunks fanned out over `pool`; results are bit-identical to the
-  // serial counterparts (FindAllParallel preserves enumeration order by
-  // concatenating chunks in index order). A null/empty pool falls back to
-  // the serial path.
+  /// Answer projection: appends, for each of the first `limit`
+  /// homomorphisms in ForEachImage order, the images of the slots
+  /// `columns` (one row of columns.size() terms) to `rows`; returns the
+  /// number of rows appended. With a pool, first-atom chunks are projected
+  /// concurrently and concatenated in chunk order, so the rows do not
+  /// depend on the pool; a null or worker-less pool projects serially.
+  std::size_t Project(const std::vector<std::size_t>& columns,
+                      std::vector<Term>* rows, ThreadPool* pool = nullptr,
+                      std::size_t limit = SIZE_MAX) const;
 
-  /// Parallel FindAll. `limit` is applied after the merge, so the result
-  /// equals FindAll(seed, limit); the parallel win is realized for
-  /// unlimited enumeration.
-  std::vector<Substitution> FindAllParallel(
-      ThreadPool* pool, const Substitution& seed = {},
-      std::size_t limit = SIZE_MAX) const;
+  // --- Pool-parallel queries ------------------------------------------------
+  // Both partition the image candidates of the first source atom into
+  // index chunks fanned out over `pool`; results equal the serial
+  // counterparts. A null/empty pool falls back to the serial path.
 
   /// Parallel existence check; sibling chunks are cancelled as soon as one
   /// finds a witness.
@@ -129,20 +173,34 @@ class HomSearch {
 
   /// The source atoms in the (fully deterministic) search order. Exposed for
   /// tests of the ordering heuristic.
-  const std::vector<Atom>& ordered_source() const { return source_; }
+  const std::vector<Atom>& ordered_source() const { return program_.atoms; }
 
  private:
-  void EnsureAnchorOrders() const;
+  // The atoms in search order, each argument resolved to its slot.
+  internal::SlotProgram Compile(std::vector<Atom> ordered) const;
+  void EnsureAnchorPrograms() const;
+  // One search over `program`; ranges (null = unconstrained) holds the
+  // allowed target index range [first, second) per depth.
+  std::size_t Run(const internal::SlotProgram& program,
+                  const std::pair<std::uint32_t, std::uint32_t>* ranges,
+                  const Substitution& seed, const SlotVisitor& visit) const;
 
-  std::vector<Atom> source_;
   const Instance* target_;
   HomOptions options_;
-  // anchor_orders_[i]: positions of source_ reordered for the search run
-  // whose delta anchor is source_[i] (anchor first, rest by connectivity);
-  // anchor_atoms_[i] is source_ permuted accordingly. Built lazily on the
-  // first ForEachDelta call; both depend only on source_.
+  std::vector<Term> slot_terms_;
+  // (term, slot) sorted by term, for SlotOf and seeding.
+  std::vector<std::pair<Term, std::uint32_t>> slot_index_;
+  // Distinct rigid source terms: an injective search reserves them.
+  std::vector<Term> rigid_terms_;
+  // The source in greedy search order.
+  internal::SlotProgram program_;
+  // anchor_orders_[i]: positions of program_.atoms reordered for the
+  // search run whose delta anchor is program_.atoms[i] (anchor first, rest
+  // by connectivity); anchor_programs_[i] is that ordering compiled. Built
+  // lazily on the first delta-anchored call; both depend only on the
+  // source.
   mutable std::vector<std::vector<std::size_t>> anchor_orders_;
-  mutable std::vector<std::vector<Atom>> anchor_atoms_;
+  mutable std::vector<internal::SlotProgram> anchor_programs_;
 };
 
 // --- Convenience entry points ----------------------------------------------

@@ -238,20 +238,24 @@ class ParallelHomTest : public ::testing::Test {
   std::optional<Cq> query_;
 };
 
-TEST_F(ParallelHomTest, FindAllParallelMatchesSerialOrder) {
+// The answer projection over all slots: at every worker count the parallel
+// rows equal the serial ones, in order.
+TEST_F(ParallelHomTest, ParallelProjectionMatchesSerialOrder) {
   for (std::uint64_t seed : {7u, 21u, 33u}) {
     Build(seed, /*num_atoms=*/300);
     HomSearch search(query_->atoms(), &*instance_);
-    const std::vector<Substitution> serial = search.FindAll();
-    for (std::size_t workers : {1u, 3u, 7u}) {
+    std::vector<std::size_t> columns(search.slot_order().size());
+    for (std::size_t i = 0; i < columns.size(); ++i) columns[i] = i;
+    std::vector<Term> serial;
+    const std::size_t serial_rows = search.Project(columns, &serial);
+    EXPECT_EQ(serial_rows, search.FindAll().size()) << "seed " << seed;
+    for (std::size_t workers : {1u, 2u, 4u}) {
       ThreadPool pool(workers);
-      const std::vector<Substitution> parallel =
-          search.FindAllParallel(&pool);
-      ASSERT_EQ(serial.size(), parallel.size()) << "seed " << seed;
-      for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].entries(), parallel[i].entries())
-            << "seed " << seed << " hom " << i;
-      }
+      std::vector<Term> parallel;
+      EXPECT_EQ(search.Project(columns, &parallel, &pool), serial_rows)
+          << "seed " << seed << " workers " << workers;
+      EXPECT_EQ(parallel, serial) << "seed " << seed << " workers "
+                                  << workers;
     }
   }
 }
@@ -267,16 +271,18 @@ TEST_F(ParallelHomTest, CountAndExistsMatchSerial) {
   }
 }
 
-TEST_F(ParallelHomTest, FindAllParallelRespectsLimit) {
+TEST_F(ParallelHomTest, ParallelProjectionRespectsLimit) {
   Build(/*seed=*/7, /*num_atoms=*/300);
   HomSearch search(query_->atoms(), &*instance_);
-  const std::vector<Substitution> serial = search.FindAll({}, 10);
-  ThreadPool pool(4);
-  const std::vector<Substitution> parallel =
-      search.FindAllParallel(&pool, {}, 10);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].entries(), parallel[i].entries());
+  // Project one answer-like column: the first slot.
+  const std::vector<std::size_t> columns = {0};
+  std::vector<Term> serial;
+  ASSERT_EQ(search.Project(columns, &serial, nullptr, 10), 10u);
+  for (std::size_t workers : {1u, 2u, 4u}) {
+    ThreadPool pool(workers);
+    std::vector<Term> parallel;
+    EXPECT_EQ(search.Project(columns, &parallel, &pool, 10), 10u);
+    EXPECT_EQ(parallel, serial) << "workers " << workers;
   }
 }
 
@@ -296,8 +302,8 @@ TEST(ForEachFirstInTest, PartitionReproducesForEach) {
   const std::uint32_t n = static_cast<std::uint32_t>(instance.size());
   for (std::uint32_t split = 0; split <= n; ++split) {
     std::vector<Substitution> chunked;
-    const auto visit = [&](const Substitution& h) {
-      chunked.push_back(h);
+    const auto visit = [&](const Term* image) {
+      chunked.push_back(search.ToSubstitution(image));
       return true;
     };
     search.ForEachFirstIn(0, split, {}, visit);
@@ -328,8 +334,8 @@ TEST(ForEachDeltaAnchorTest, ChunkedAnchorsReproduceForEachDelta) {
     std::sort(key.begin(), key.end());
     return key;
   };
-  search.ForEachDelta({}, delta_begin, delta_end, [&](const Substitution& h) {
-    expected.insert(keyed(h));
+  search.ForEachDelta({}, delta_begin, delta_end, [&](const Term* image) {
+    expected.insert(keyed(search.ToSubstitution(image)));
     return true;
   });
   EXPECT_FALSE(expected.empty());
@@ -337,8 +343,9 @@ TEST(ForEachDeltaAnchorTest, ChunkedAnchorsReproduceForEachDelta) {
   for (std::size_t anchor = 0; anchor < search.source_size(); ++anchor) {
     for (std::uint32_t lo = delta_begin; lo < delta_end; ++lo) {
       search.ForEachDeltaAnchor(anchor, delta_begin, delta_end, lo, lo + 1,
-                                {}, [&](const Substitution& h) {
-                                  chunked.insert(keyed(h));
+                                {}, [&](const Term* image) {
+                                  chunked.insert(
+                                      keyed(search.ToSubstitution(image)));
                                   return true;
                                 });
     }
