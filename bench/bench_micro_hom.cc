@@ -149,7 +149,7 @@ BDDFC_BENCH_EXPERIMENT(hom_slot_paths) {
     const auto delta_end =
         static_cast<std::uint32_t>(chase.AtomCountAtStep(last));
     const Rule& rule = rules.front();
-    HomSearch search(rule.body(), &chase.Result(), {}, rule.body_vars());
+    HomSearch search(rule.body(), &chase.Result());
     std::size_t homs = 0;
     const double ns = BestNs(
         [&] {

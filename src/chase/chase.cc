@@ -126,8 +126,9 @@ ObliviousChase::ObliviousChase(const Instance& database, RuleSet rules,
   atom_record_.assign(instance_.size(), kDatabaseRecord);
   rule_searches_.reserve(rules_.size());
   for (const Rule& rule : rules_) {
-    rule_searches_.emplace_back(rule.body(), &instance_, HomOptions{},
-                                rule.body_vars());
+    rule_searches_.emplace_back(rule.body(), &instance_);
+    // Trigger collection copies slot images as body_vars() rows.
+    BDDFC_CHECK(rule_searches_.back().slot_order() == rule.body_vars());
   }
   // Frontier-variable positions: the restricted head check seeds from them
   // and the segment engine's semi-oblivious trigger identity projects

@@ -216,7 +216,7 @@ FirstAtomChunks PlanFirstAtomChunks(std::uint32_t n, std::size_t workers) {
 }  // namespace
 
 HomSearch::HomSearch(std::vector<Atom> source, const Instance* target,
-                     HomOptions options, std::vector<Term> slot_order)
+                     HomOptions options)
     : target_(target), options_(options) {
   BDDFC_CHECK(target != nullptr);
   // Distinct flexible terms as (term, first occurrence), and the distinct
@@ -241,26 +241,16 @@ HomSearch::HomSearch(std::vector<Atom> source, const Instance* target,
                                return x.first == y.first;
                              }),
                  flexible.end());
-  if (slot_order.empty()) {
-    // Default layout: order of first occurrence.
-    std::vector<std::pair<Term, std::uint32_t>> by_occurrence = flexible;
-    std::sort(by_occurrence.begin(), by_occurrence.end(),
-              [](const auto& x, const auto& y) { return x.second < y.second; });
-    for (const auto& entry : by_occurrence) slot_terms_.push_back(entry.first);
-  } else {
-    slot_terms_ = std::move(slot_order);
-  }
-  slot_index_.reserve(slot_terms_.size());
-  for (std::size_t i = 0; i < slot_terms_.size(); ++i) {
-    slot_index_.emplace_back(slot_terms_[i], static_cast<std::uint32_t>(i));
+  // Slots in order of first occurrence.
+  std::sort(flexible.begin(), flexible.end(),
+            [](const auto& x, const auto& y) { return x.second < y.second; });
+  slot_index_.reserve(flexible.size());
+  for (const auto& entry : flexible) {
+    slot_index_.emplace_back(entry.first,
+                             static_cast<std::uint32_t>(slot_terms_.size()));
+    slot_terms_.push_back(entry.first);
   }
   std::sort(slot_index_.begin(), slot_index_.end());
-  // The layout lists every flexible source term exactly once: both lists,
-  // sorted by term, agree pairwise.
-  BDDFC_CHECK_EQ(slot_index_.size(), flexible.size());
-  for (std::size_t i = 0; i < flexible.size(); ++i) {
-    BDDFC_CHECK(slot_index_[i].first == flexible[i].first);
-  }
   std::vector<Atom> ordered;
   ordered.reserve(source.size());
   for (std::size_t i : GreedyOrderIndices(source, -1)) {

@@ -64,11 +64,10 @@ class HomSearch {
   /// pointer is valid only during the call.
   using SlotVisitor = std::function<bool(const Term* image)>;
 
-  /// `slot_order` fixes the slot layout: it must list every flexible
-  /// source term exactly once and nothing else. Empty means the flexible
-  /// source terms in order of first occurrence in `source`.
+  /// The slot layout lists the flexible source terms in order of first
+  /// occurrence in `source`.
   HomSearch(std::vector<Atom> source, const Instance* target,
-            HomOptions options = {}, std::vector<Term> slot_order = {});
+            HomOptions options = {});
 
   /// Finds one homomorphism extending `seed`, or nullopt. The result also
   /// carries the seed's bindings of terms outside the source.

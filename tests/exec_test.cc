@@ -271,18 +271,27 @@ TEST_F(ParallelHomTest, CountAndExistsMatchSerial) {
   }
 }
 
+// The limited projection over all slots: whole rows, cut at the limit both
+// inside the first chunk and past a chunk boundary.
 TEST_F(ParallelHomTest, ParallelProjectionRespectsLimit) {
   Build(/*seed=*/7, /*num_atoms=*/300);
   HomSearch search(query_->atoms(), &*instance_);
-  // Project one answer-like column: the first slot.
-  const std::vector<std::size_t> columns = {0};
-  std::vector<Term> serial;
-  ASSERT_EQ(search.Project(columns, &serial, nullptr, 10), 10u);
-  for (std::size_t workers : {1u, 2u, 4u}) {
-    ThreadPool pool(workers);
-    std::vector<Term> parallel;
-    EXPECT_EQ(search.Project(columns, &parallel, &pool, 10), 10u);
-    EXPECT_EQ(parallel, serial) << "workers " << workers;
+  std::vector<std::size_t> columns(search.slot_order().size());
+  for (std::size_t i = 0; i < columns.size(); ++i) columns[i] = i;
+  ASSERT_GT(columns.size(), 1u);
+  const std::size_t total = search.FindAll().size();
+  ASSERT_GT(total, 20u);
+  for (std::size_t limit : {std::size_t{10}, total / 2}) {
+    std::vector<Term> serial;
+    ASSERT_EQ(search.Project(columns, &serial, nullptr, limit), limit);
+    ASSERT_EQ(serial.size(), limit * columns.size());
+    for (std::size_t workers : {1u, 2u, 4u}) {
+      ThreadPool pool(workers);
+      std::vector<Term> parallel;
+      EXPECT_EQ(search.Project(columns, &parallel, &pool, limit), limit);
+      EXPECT_EQ(parallel, serial)
+          << "limit " << limit << " workers " << workers;
+    }
   }
 }
 

@@ -306,30 +306,6 @@ TEST_F(HomTest, InjectiveSeedCollidingWithRigidTermYieldsNothing) {
   EXPECT_TRUE(search.Exists());
 }
 
-TEST_F(HomTest, SlotOrderFixesTheImageLayout) {
-  Instance inst = MustParseInstance(&u_, "E(a,b).");
-  Cq q = MustParseCq(&u_, "? :- E(x,y)");
-  const Term x = q.atoms()[0].arg(0);
-  const Term y = q.atoms()[0].arg(1);
-  HomSearch search(q.atoms(), &inst, {}, {y, x});
-  EXPECT_EQ(search.slot_order(), (std::vector<Term>{y, x}));
-  EXPECT_EQ(search.SlotOf(x), 1u);
-  std::vector<Term> image;
-  search.ForEachImage({}, [&](const Term* row) {
-    image.assign(row, row + 2);
-    return true;
-  });
-  EXPECT_EQ(image, (std::vector<Term>{u_.FindConstant("b"),
-                                      u_.FindConstant("a")}));
-}
-
-TEST_F(HomTest, SlotOrderMissingASourceVariableFailsCheck) {
-  Instance inst = MustParseInstance(&u_, "E(a,b).");
-  Cq q = MustParseCq(&u_, "? :- E(x,y)");
-  const Term x = q.atoms()[0].arg(0);
-  EXPECT_DEATH((void)HomSearch(q.atoms(), &inst, {}, {x}), "CHECK failed");
-}
-
 // --- Oracle test ------------------------------------------------------------
 //
 // Small random instances and sources (constants, repeated variables, nulls
@@ -342,7 +318,6 @@ struct OracleCase {
   std::vector<Atom> source;
   Substitution seed;
   bool injective = false;
-  bool reversed_slots = false;
 };
 
 // Every homomorphism extending `seed` as its image of `slots`, in no
@@ -435,7 +410,6 @@ class HomOracleTest : public ::testing::Test {
       c.source.push_back(Atom(pred, std::move(args)));
     }
     c.injective = rng->Flip(0.3);
-    c.reversed_slots = rng->Flip(0.5);
     if (rng->Flip(0.25) && !target.ActiveDomain().empty()) {
       const Term var = c.source[0].arg(0);
       if (!var.IsRigid()) {
@@ -460,13 +434,7 @@ TEST_F(HomOracleTest, EveryEntryPointMatchesBruteForce) {
   for (int iter = 0; iter < 300; ++iter) {
     const Instance target = RandomTarget(&rng);
     const OracleCase c = RandomCase(target, &rng);
-    std::vector<Term> slot_order;
-    if (c.reversed_slots) {
-      slot_order = HomSearch(c.source, &target).slot_order();
-      std::reverse(slot_order.begin(), slot_order.end());
-    }
-    const HomSearch search(c.source, &target, {.injective = c.injective},
-                           slot_order);
+    const HomSearch search(c.source, &target, {.injective = c.injective});
     const std::vector<Term>& slots = search.slot_order();
     const std::size_t width = slots.size();
     const auto trace = "iteration " + std::to_string(iter);
