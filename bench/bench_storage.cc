@@ -9,8 +9,8 @@
 //                    bytes_per_fact divides it by the workload's fact
 //                    count; CI holds each backend under its own ceiling.
 //                    The column backend's O(atoms) index layout is the
-//                    headline: about half the row backend's hash-map
-//                    indexes.
+//                    headline: about two thirds of the row backend's
+//                    per-key posting lists.
 //   * lookup_ns / contains_ns — per-operation latencies of the point
 //                    lookups the homomorphism join performs, sampled over
 //                    the loaded store.
@@ -57,7 +57,7 @@ struct WideWorkload {
 };
 
 // ~10^6 ternary facts over ~10^5 constants: index keys are mostly
-// distinct, the regime where per-key hash-map overhead dominates the row
+// distinct, the regime where per-key index overhead dominates the row
 // backend (every real-world large EDB looks like this).
 void BuildWideWorkload(WideWorkload* w) {
   for (int p = 0; p < kNumPredicates; ++p) {
@@ -80,7 +80,7 @@ void BuildWideWorkload(WideWorkload* w) {
 }
 
 // Loads the workload into a store of the given kind and forces the index
-// structures (the row backend builds its hash maps lazily; the column
+// structures (the row backend builds its posting lists lazily; the column
 // backend seals its sorted runs) so the measured state is query-serving.
 Instance LoadStore(WideWorkload* w, StorageKind kind) {
   Instance inst(&w->universe, kind);

@@ -5,8 +5,9 @@
 // Since the storage-API redesign an Instance is a thin owner of a
 // bddfc::FactStore (src/storage/): it binds the store to a Universe (arity
 // checking, the implicit ⊤ fact) and forwards every query to the backend
-// selected at construction — StorageKind::kRow (hash-map indexes, the
-// historical layout) or StorageKind::kColumn (VLog-style columnar tables).
+// selected at construction — StorageKind::kRow (hashed posting lists in
+// one flat arena, the historical layout) or StorageKind::kColumn
+// (VLog-style columnar tables).
 // Both backends answer every query identically, so engines never care
 // which one is underneath.
 //

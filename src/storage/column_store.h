@@ -10,10 +10,11 @@
 // its predecessor), so maintenance is O(n log n) total and every lookup
 // touches at most O(log n) runs.
 //
-// Versus the RowStore this trades hash-map point lookups (O(1), but one
-// heap-allocated vector + hash node per distinct (pred, pos, term) key —
-// O(atoms × arity) index entries with ~100 bytes of overhead each) for
-// binary search over flat 4-byte-per-entry arrays: O(atoms) index memory.
+// Versus the RowStore this trades hashed point lookups (O(1), but one
+// posting list plus a hash slot per distinct (pred, pos, term) key —
+// O(atoms × arity) index entries, 40–56 bytes of key overhead each, and
+// slack in lists that grew by doubling) for binary search over flat
+// 4-byte-per-entry arrays: O(atoms) index memory.
 // Exact membership (Contains/IndexOf) is FactStore's shared flat table.
 //
 // Run sealing happens lazily on the first query after a mutation, behind
@@ -86,8 +87,8 @@ class ColumnStore final : public FactStore {
 
   // Indexed by PredicateId. Entries are heap-allocated so references the
   // store hands out (AtomsWith(pred) returns a PredTable's `rows` by
-  // reference) survive the vector growing for new predicate ids — the
-  // same stability the row store's node-based map gives for free.
+  // reference) survive the vector growing for new predicate ids, as the
+  // row store's per-predicate entries do.
   mutable std::vector<std::unique_ptr<PredTable>> tables_;
   mutable std::atomic<bool> runs_current_{true};
   mutable std::mutex runs_mutex_;

@@ -61,6 +61,31 @@ void FactStore::GrowSlots(std::size_t pending) {
   }
 }
 
+std::size_t FactStore::FindTermSlot(Term t) const {
+  const std::size_t mask = adom_slots_.size() - 1;
+  std::size_t slot = std::hash<Term>{}(t) & mask;
+  while (adom_slots_[slot] != t && adom_slots_[slot] != Term()) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void FactStore::GrowActiveDomain(std::size_t pending) {
+  std::size_t capacity =
+      adom_slots_.empty() ? kInitialSlots : adom_slots_.size();
+  while (2 * (adom_.size() + pending) >= capacity) capacity *= 2;
+  if (capacity == adom_slots_.size()) return;
+  // adom_ lists every stored term, so it re-places them without the old
+  // table.
+  adom_slots_.assign(capacity, Term());
+  for (Term t : adom_) adom_slots_[FindTermSlot(t)] = t;
+}
+
+bool FactStore::InActiveDomain(Term t) const {
+  return t.IsValid() && !adom_slots_.empty() &&
+         adom_slots_[FindTermSlot(t)] == t;
+}
+
 std::size_t FactStore::IndexOf(const Atom& atom) const {
   if (slots_.empty()) return SIZE_MAX;
   const std::uint32_t stored = slots_[FindSlot(atom)];
@@ -74,8 +99,13 @@ std::uint32_t FactStore::RecordAtom(const Atom& atom) {
   const std::uint32_t idx = static_cast<std::uint32_t>(atoms_.size());
   atoms_.push_back(atom);
   slots_[slot] = idx + 1;
+  if (atom.arity() > 0) GrowActiveDomain(atom.arity());
   for (Term t : atom.args()) {
-    if (adom_set_.insert(t).second) adom_.push_back(t);
+    BDDFC_CHECK(t.IsValid());  // Term() marks an empty adom_slots_ entry
+    Term& term_slot = adom_slots_[FindTermSlot(t)];
+    if (term_slot == t) continue;
+    term_slot = t;
+    adom_.push_back(t);
   }
 #ifndef NDEBUG
   ++*generation_;
@@ -83,21 +113,21 @@ std::uint32_t FactStore::RecordAtom(const Atom& atom) {
   return idx;
 }
 
-IndexView FactStore::ClampView(const std::vector<std::uint32_t>& indices,
-                               std::uint32_t lo, std::uint32_t hi) const {
+IndexView FactStore::ClampView(const std::uint32_t* begin,
+                               const std::uint32_t* end, std::uint32_t lo,
+                               std::uint32_t hi) const {
   if (lo >= hi) return IndexView();
-  const std::uint32_t* begin = indices.data();
-  const std::uint32_t* end = begin + indices.size();
   if (lo > 0) begin = std::lower_bound(begin, end, lo);
-  if (indices.empty() || hi <= indices.back()) {
-    end = std::lower_bound(begin, end, hi);
-  }
+  // Indices ascend, so a window ending past the last one keeps the tail
+  // without a search.
+  if (begin == end || hi <= end[-1]) end = std::lower_bound(begin, end, hi);
   return BorrowView(begin, end);
 }
 
 IndexView FactStore::AtomsWithIn(PredicateId pred, std::uint32_t lo,
                                  std::uint32_t hi) const {
-  return ClampView(AtomsWith(pred), lo, hi);
+  const std::vector<std::uint32_t>& indices = AtomsWith(pred);
+  return ClampView(indices.data(), indices.data() + indices.size(), lo, hi);
 }
 
 }  // namespace bddfc

@@ -11,9 +11,10 @@
 //   * range-filtered delta views (AtomsWithIn) over those lookups.
 //
 // Two backends implement the contract:
-//   * RowStore (row_store.h) — the historical Instance layout: hash-map
-//     indexes by predicate and by (predicate, position, term). Fastest
-//     point lookups, O(atoms × arity) index entries.
+//   * RowStore (row_store.h) — the historical Instance layout: flat
+//     indexes by predicate and by (predicate, position, term), one posting
+//     list per key in a shared arena. Fastest point lookups,
+//     O(atoms × arity) index entries.
 //   * ColumnStore (column_store.h) — a VLog-inspired columnar layout:
 //     per-predicate column vectors with lazily merged sorted runs and
 //     binary-search point lookups. O(atoms) index memory; built for
@@ -22,7 +23,8 @@
 // Exact membership is shared: FactStore itself keeps one flat
 // open-addressing table of atom indices (4 bytes per slot, at most 50%
 // load), keyed by the atoms it already stores, so no backend holds a
-// second copy of any atom.
+// second copy of any atom. The active domain's membership set is flat the
+// same way: an open-addressing table of Terms sized by the active domain.
 //
 // Both backends return identical results for every query (the storage
 // differential suite in tests/storage_test.cc enumerates the contract), so
@@ -38,7 +40,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -367,9 +368,7 @@ class FactStore {
   /// order.
   const std::vector<Term>& ActiveDomain() const { return adom_; }
 
-  bool InActiveDomain(Term t) const {
-    return adom_set_.find(t) != adom_set_.end();
-  }
+  bool InActiveDomain(Term t) const;
 
 #ifndef NDEBUG
   /// Mutation counter backing the debug-build IndexView guard. Bumped by
@@ -405,7 +404,7 @@ class FactStore {
     atoms_ = other.atoms_;
     slots_ = other.slots_;
     adom_ = other.adom_;
-    adom_set_ = other.adom_set_;
+    adom_slots_ = other.adom_slots_;
   }
 
   /// Borrowed view with this store's generation guard attached (release
@@ -419,9 +418,9 @@ class FactStore {
 #endif
   }
 
-  /// Clamps a sorted index vector to the atom-index range [lo, hi),
-  /// returning a guarded borrowed view.
-  IndexView ClampView(const std::vector<std::uint32_t>& indices,
+  /// Clamps the ascending atom indices [begin, end) to the atom-index
+  /// range [lo, hi), returning a guarded borrowed view.
+  IndexView ClampView(const std::uint32_t* begin, const std::uint32_t* end,
                       std::uint32_t lo, std::uint32_t hi) const;
 
   /// Borrowed sorted-runs view with this store's generation guard attached
@@ -449,6 +448,11 @@ class FactStore {
   std::size_t FindSlot(const Atom& atom) const;
   // Ensures capacity for `pending` further atoms at no more than 50% load.
   void GrowSlots(std::size_t pending);
+  // The active-domain slot holding `t`, or the empty slot its probe ends
+  // at. Needs a non-empty table and a valid `t`.
+  std::size_t FindTermSlot(Term t) const;
+  // Ensures capacity for `pending` further terms at no more than 50% load.
+  void GrowActiveDomain(std::size_t pending);
 
   std::vector<Atom> atoms_;
   // Open-addressing membership table with linear probing: each slot holds
@@ -456,7 +460,9 @@ class FactStore {
   // Nothing is ever erased, so the occupied count is atoms_.size().
   std::vector<std::uint32_t> slots_;
   std::vector<Term> adom_;
-  std::unordered_set<Term> adom_set_;
+  // Open-addressing set of the terms in adom_, linear probing; Term() (the
+  // invalid term, never stored in an atom) marks an empty slot.
+  std::vector<Term> adom_slots_;
 #ifndef NDEBUG
   // Shared with borrowed IndexViews (debug guard) so the check survives
   // the store; the destructor poisons it.

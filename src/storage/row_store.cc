@@ -7,6 +7,20 @@
 
 namespace bddfc {
 
+namespace {
+
+constexpr std::size_t kInitialPosSlots = 64;  // power of two
+
+// splitmix64's finalizer over a (PosIndexKey, term) pair.
+std::uint64_t PosHash(std::uint64_t pos_key, Term t) {
+  std::uint64_t z = pos_key * 0x9e3779b97f4a7c15ULL + t.raw();
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+}  // namespace
+
 std::unique_ptr<FactStore> RowStore::Clone() const {
   auto copy = std::make_unique<RowStore>();
   copy->CopyBaseFrom(*this);
@@ -15,8 +29,16 @@ std::unique_ptr<FactStore> RowStore::Clone() const {
     // mutation is single-threaded per the FactStore thread model.
     std::lock_guard<std::mutex> lock(index_mutex_);
     if (indexes_built_.load(std::memory_order_acquire)) {
-      copy->by_pred_ = by_pred_;
-      copy->by_pos_ = by_pos_;
+      copy->by_pred_.reserve(by_pred_.size());
+      for (const auto& rows : by_pred_) {
+        copy->by_pred_.push_back(
+            rows == nullptr
+                ? nullptr
+                : std::make_unique<std::vector<std::uint32_t>>(*rows));
+      }
+      copy->lists_ = lists_;
+      copy->arena_ = arena_;
+      copy->slots_ = slots_;
       copy->indexes_built_.store(true, std::memory_order_release);
     }
   }
@@ -41,11 +63,89 @@ bool RowStore::AddAtom(const Atom& atom) {
   return true;
 }
 
+std::size_t RowStore::FindSlot(std::uint64_t pos_key, Term t,
+                              std::uint64_t hash) const {
+  const std::uint64_t tag = hash >> 32;
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot = hash & mask;
+  while (slots_[slot] != 0) {
+    const std::uint64_t stored = slots_[slot];
+    if ((stored >> 32) == tag) {
+      const PostingList& list = lists_[(stored & 0xffffffffu) - 1];
+      if (list.term == t && list.pos_key == pos_key) return slot;
+    }
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+const RowStore::PostingList* RowStore::FindList(std::uint64_t pos_key,
+                                                Term t) const {
+  if (slots_.empty()) return nullptr;
+  const std::uint64_t stored =
+      slots_[FindSlot(pos_key, t, PosHash(pos_key, t))];
+  return stored == 0 ? nullptr : &lists_[(stored & 0xffffffffu) - 1];
+}
+
+std::uint32_t RowStore::FindOrAddList(std::uint64_t pos_key, Term t) const {
+  if (2 * (lists_.size() + 1) >= slots_.size()) {
+    // Grow to keep the load at most 50%, re-placing every list.
+    slots_.assign(slots_.empty() ? kInitialPosSlots : 2 * slots_.size(), 0);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::uint32_t i = 0; i < lists_.size(); ++i) {
+      const std::uint64_t hash = PosHash(lists_[i].pos_key, lists_[i].term);
+      std::size_t slot = hash & mask;
+      while (slots_[slot] != 0) slot = (slot + 1) & mask;
+      slots_[slot] = ((hash >> 32) << 32) | (i + 1);
+    }
+  }
+  const std::uint64_t hash = PosHash(pos_key, t);
+  const std::size_t slot = FindSlot(pos_key, t, hash);
+  if (slots_[slot] != 0) {
+    return static_cast<std::uint32_t>(slots_[slot] & 0xffffffffu) - 1;
+  }
+  PostingList fresh;
+  fresh.pos_key = pos_key;
+  fresh.term = t;
+  lists_.push_back(fresh);
+  slots_[slot] = ((hash >> 32) << 32) | lists_.size();
+  return static_cast<std::uint32_t>(lists_.size() - 1);
+}
+
+void RowStore::Append(std::uint32_t list, std::uint32_t idx) const {
+  PostingList& l = lists_[list];
+  if (l.size == l.capacity) {
+    // Double the capacity: in place when the list is the arena's last,
+    // else at the tail, leaving the vacated slice dead.
+    const std::uint32_t grown = l.capacity == 0 ? 1 : 2 * l.capacity;
+    const bool last =
+        l.capacity != 0 && l.offset + l.capacity == arena_.size();
+    const std::size_t offset = last ? l.offset : arena_.size();
+    BDDFC_CHECK_LE(offset + grown, UINT32_MAX);
+    arena_.resize(offset + grown);
+    if (!last) {
+      std::copy_n(arena_.data() + l.offset, l.size, arena_.data() + offset);
+      l.offset = static_cast<std::uint32_t>(offset);
+    }
+    l.capacity = grown;
+  }
+  arena_[l.offset + l.size++] = idx;
+}
+
+std::vector<std::uint32_t>& RowStore::PredIndex(PredicateId pred) const {
+  if (pred >= by_pred_.size()) by_pred_.resize(pred + 1);
+  if (by_pred_[pred] == nullptr) {
+    by_pred_[pred] = std::make_unique<std::vector<std::uint32_t>>();
+  }
+  return *by_pred_[pred];
+}
+
 void RowStore::IndexAtom(const Atom& atom, std::uint32_t idx) const {
-  by_pred_[atom.pred()].push_back(idx);
+  PredIndex(atom.pred()).push_back(idx);
   for (std::size_t pos = 0; pos < atom.arity(); ++pos) {
-    by_pos_[{PosIndexKey(atom.pred(), static_cast<int>(pos)), atom.arg(pos)}]
-        .push_back(idx);
+    Append(FindOrAddList(PosIndexKey(atom.pred(), static_cast<int>(pos)),
+                         atom.arg(pos)),
+           idx);
   }
 }
 
@@ -56,6 +156,23 @@ void RowStore::EnsureIndexes() const {
   BDDFC_OBS_SPAN(index_span, "storage", "storage.index_build");
   const std::vector<Atom>& all = atoms();
   index_span.Arg("atoms", all.size());
+  // Count every key's postings into its capacity, lay the lists out back
+  // to back, then fill: no list relocates, and the arena has no dead
+  // space.
+  for (const Atom& atom : all) {
+    for (std::size_t pos = 0; pos < atom.arity(); ++pos) {
+      ++lists_[FindOrAddList(PosIndexKey(atom.pred(), static_cast<int>(pos)),
+                             atom.arg(pos))]
+            .capacity;
+    }
+  }
+  std::size_t total = 0;
+  for (PostingList& list : lists_) {
+    list.offset = static_cast<std::uint32_t>(total);
+    total += list.capacity;
+  }
+  BDDFC_CHECK_LE(total, UINT32_MAX);
+  arena_.resize(total);
   for (std::uint32_t idx = 0; idx < all.size(); ++idx) {
     IndexAtom(all[idx], idx);
   }
@@ -70,30 +187,32 @@ void RowStore::EnsureIndexes() const {
 const std::vector<std::uint32_t>& RowStore::AtomsWith(
     PredicateId pred) const {
   EnsureIndexes();
-  auto it = by_pred_.find(pred);
-  return it == by_pred_.end() ? kEmptyIndex : it->second;
+  if (pred >= by_pred_.size() || by_pred_[pred] == nullptr) {
+    return kEmptyIndex;
+  }
+  return *by_pred_[pred];
 }
 
 IndexView RowStore::AtomsWith(PredicateId pred, int pos, Term t) const {
   EnsureIndexes();
-  auto it = by_pos_.find({PosIndexKey(pred, pos), t});
-  if (it == by_pos_.end()) return IndexView();
-  return BorrowView(it->second.data(), it->second.data() + it->second.size());
+  const PostingList* list = FindList(PosIndexKey(pred, pos), t);
+  if (list == nullptr) return IndexView();
+  const std::uint32_t* begin = arena_.data() + list->offset;
+  return BorrowView(begin, begin + list->size);
 }
 
 IndexView RowStore::AtomsWithIn(PredicateId pred, int pos, Term t,
                                 std::uint32_t lo, std::uint32_t hi) const {
   EnsureIndexes();
-  auto it = by_pos_.find({PosIndexKey(pred, pos), t});
-  if (it == by_pos_.end()) return IndexView();
-  return ClampView(it->second, lo, hi);
+  const PostingList* list = FindList(PosIndexKey(pred, pos), t);
+  if (list == nullptr) return IndexView();
+  const std::uint32_t* begin = arena_.data() + list->offset;
+  return ClampView(begin, begin + list->size, lo, hi);
 }
 
 SortedRunsView RowStore::SortedRuns(PredicateId pred, int pos) const {
-  EnsureIndexes();
-  auto it = by_pred_.find(pred);
-  if (it == by_pred_.end()) return SortedRunsView();
-  const std::vector<std::uint32_t>& globals = it->second;
+  const std::vector<std::uint32_t>& globals = AtomsWith(pred);
+  if (globals.empty()) return SortedRunsView();
   const std::vector<Atom>& all = atoms();
   if (static_cast<std::size_t>(pos) >= all[globals.front()].arity()) {
     return SortedRunsView();

@@ -1,24 +1,32 @@
 // The row-oriented FactStore backend: the historical Instance layout.
 //
-// Hash-map indexes by predicate and by (predicate, position, term); exact
-// membership is FactStore's shared flat table. Index vectors are appended
-// in insertion order, so every lookup result is ascending by construction.
+// Flat indexes by predicate and by (predicate, position, term); exact
+// membership is FactStore's shared flat table. Every (predicate, position,
+// term) key owns a posting list — an {offset, size, capacity} slice of one
+// shared arena of atom indices — found through an open-addressing table.
+// Posting lists are appended in insertion order, so every lookup result is
+// ascending by construction. A full list moves to the arena's tail at
+// double capacity (or grows in place when it is already last); the slice it
+// vacates stays dead, and clones copy it. The per-predicate index is a
+// dense table indexed by PredicateId.
 //
-// The hash-map indexes are built lazily on the first index query (and
-// maintained incrementally afterwards): a store that is only ever scanned
-// via atoms() — a Restrict/Map/DisjointUnion result consumed once — never
-// pays the O(atoms × arity) index build at all.
+// The indexes are built lazily on the first index query (and maintained
+// incrementally afterwards): a store that is only ever scanned via
+// atoms() — a Restrict/Map/DisjointUnion result consumed once — never pays
+// the O(atoms × arity) index build at all. The build counts every key's
+// postings first and then fills, so a freshly built arena has no dead
+// space.
 
 #ifndef BDDFC_STORAGE_ROW_STORE_H_
 #define BDDFC_STORAGE_ROW_STORE_H_
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
-#include "base/hash.h"
 #include "storage/fact_store.h"
 
 namespace bddfc {
@@ -27,9 +35,9 @@ class RowStore final : public FactStore {
  public:
   StorageKind kind() const override { return StorageKind::kRow; }
 
-  /// Deep copy: the membership table and (if built) the hash indexes are
-  /// copied, cached run snapshots are shared (they are immutable once
-  /// published).
+  /// Deep copy: the membership table and (if built) the flat indexes are
+  /// copied as plain vectors, cached run snapshots are shared (they are
+  /// immutable once published).
   std::unique_ptr<FactStore> Clone() const override;
 
   bool AddAtom(const Atom& atom) override;
@@ -51,22 +59,40 @@ class RowStore final : public FactStore {
   // (predicate, position) packed into disjoint 32-bit halves. PredicateId
   // is 32 bits and positions are bounded by the predicate arity (an int),
   // so neither half can truncate.
-  using PosKey = std::pair<std::uint64_t, Term>;
   static std::uint64_t PosIndexKey(PredicateId pred, int pos) {
     BDDFC_CHECK_GE(pos, 0);
     return (static_cast<std::uint64_t>(pred) << 32) |
            static_cast<std::uint32_t>(pos);
   }
-  struct PosKeyHash {
-    std::size_t operator()(const PosKey& k) const {
-      std::size_t seed = std::hash<std::uint64_t>{}(k.first);
-      HashCombine(&seed, std::hash<Term>{}(k.second));
-      return seed;
-    }
+
+  // One (predicate, position, term) key and its posting list: the atom
+  // indices arena_[offset, offset + size), ascending, with room up to
+  // offset + capacity.
+  struct PostingList {
+    std::uint64_t pos_key = 0;
+    Term term;
+    std::uint32_t offset = 0;
+    std::uint32_t size = 0;
+    std::uint32_t capacity = 0;
   };
+
+  // The slot holding (pos_key, t), or the empty slot its probe ends at.
+  // Needs a non-empty table.
+  std::size_t FindSlot(std::uint64_t pos_key, Term t,
+                       std::uint64_t hash) const;
+  // The posting list of (pos_key, t), or null when the key is absent.
+  const PostingList* FindList(std::uint64_t pos_key, Term t) const;
+  // The index into lists_ of (pos_key, t)'s posting list, appending an
+  // empty list for a new key. Invalidates references into lists_.
+  std::uint32_t FindOrAddList(std::uint64_t pos_key, Term t) const;
+  // Appends atom index `idx` to lists_[list], relocating it to the arena's
+  // tail at double capacity when it is full.
+  void Append(std::uint32_t list, std::uint32_t idx) const;
 
   // Appends atom #idx to the (built) indexes.
   void IndexAtom(const Atom& atom, std::uint32_t idx) const;
+  // The per-predicate index of `pred`, created empty on first use.
+  std::vector<std::uint32_t>& PredIndex(PredicateId pred) const;
   // Builds the indexes from atoms() if they do not exist yet. Thread-safe
   // double-checked lock: concurrent first queries (the parallel chase)
   // build exactly once.
@@ -82,10 +108,18 @@ class RowStore final : public FactStore {
     std::uint32_t run_end = 0;         // the single run's exclusive end
   };
 
-  mutable std::unordered_map<PredicateId, std::vector<std::uint32_t>>
-      by_pred_;
-  mutable std::unordered_map<PosKey, std::vector<std::uint32_t>, PosKeyHash>
-      by_pos_;
+  // Indexed by PredicateId (null: no atom over that predicate). Entries
+  // are heap-allocated so the references AtomsWith(pred) hands out survive
+  // the table growing for new predicate ids.
+  mutable std::vector<std::unique_ptr<std::vector<std::uint32_t>>> by_pred_;
+  // The (predicate, position, term) index: posting lists in first-seen key
+  // order, their shared arena, and an open-addressing table with linear
+  // probing over lists_. Each slot packs the upper 32 bits of the key's
+  // hash above its list number + 1 (0 = empty), so most mismatching probes
+  // never touch lists_.
+  mutable std::vector<PostingList> lists_;
+  mutable std::vector<std::uint32_t> arena_;
+  mutable std::vector<std::uint64_t> slots_;
   mutable std::atomic<bool> indexes_built_{false};
   mutable std::mutex index_mutex_;
   // Keyed by PosIndexKey(pred, pos); guarded by runs_mutex_ (concurrent

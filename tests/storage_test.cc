@@ -11,8 +11,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -245,6 +247,112 @@ TEST(StorageDifferentialTest, WideArityPositions) {
   }
 }
 
+// --- Posting lists against a brute-force oracle ----------------------------
+
+// Every (pred, pos, term) lookup and a spread of AtomsWithIn windows over
+// each, against one scan of atoms(); plus every per-predicate index.
+void ExpectIndexesMatchScan(const FactStore& store, std::size_t min_keys) {
+  using Key = std::tuple<PredicateId, int, Term>;
+  std::map<Key, std::vector<std::uint32_t>> expected;
+  std::map<PredicateId, std::vector<std::uint32_t>> by_pred;
+  const std::vector<Atom>& atoms = store.atoms();
+  const std::uint32_t n = static_cast<std::uint32_t>(atoms.size());
+  for (std::uint32_t i = 0; i < n; ++i) {
+    by_pred[atoms[i].pred()].push_back(i);
+    for (std::size_t pos = 0; pos < atoms[i].arity(); ++pos) {
+      expected[{atoms[i].pred(), static_cast<int>(pos), atoms[i].arg(pos)}]
+          .push_back(i);
+    }
+  }
+  ASSERT_GE(expected.size(), min_keys);
+  for (const auto& [pred, indices] : by_pred) {
+    ASSERT_EQ(store.AtomsWith(pred), indices) << "pred " << pred;
+  }
+  for (const auto& [key, indices] : expected) {
+    const auto& [pred, pos, t] = key;
+    ASSERT_EQ(Materialize(store.AtomsWith(pred, pos, t)), indices)
+        << "pred " << pred << " pos " << pos << " term " << t.raw();
+    const std::uint32_t first = indices.front(), last = indices.back();
+    const std::uint32_t windows[][2] = {
+        {0, n / 2},      {n / 3, 2 * n / 3}, {first, first + 1},
+        {first + 1, last}, {last, last + 1},   {last + 1, n}};
+    for (const auto& w : windows) {
+      std::vector<std::uint32_t> in_window;
+      for (std::uint32_t i : indices) {
+        if (i >= w[0] && i < w[1]) in_window.push_back(i);
+      }
+      ASSERT_EQ(Materialize(store.AtomsWithIn(pred, pos, t, w[0], w[1])),
+                in_window)
+          << "pred " << pred << " pos " << pos << " term " << t.raw()
+          << " window [" << w[0] << "," << w[1] << ")";
+    }
+  }
+  // An absent term and an absent predicate find nothing.
+  EXPECT_TRUE(store.AtomsWith(0, 0, Term::MakeNull(0x3fffffffu)).empty());
+  EXPECT_TRUE(store.AtomsWith(PredicateId{7}).empty());
+  EXPECT_TRUE(store.AtomsWith(PredicateId{7}, 0, atoms[0].arg(0)).empty());
+}
+
+TEST(StorageDifferentialTest, PostingListsSurviveRelocationAndLazyBuild) {
+  // 2500 terms (half constants, half nulls) over a binary and a ternary
+  // predicate: 12500 (pred, pos, term) keys. Every round touches every
+  // key once, so the lists grow interleaved and a full list is almost
+  // never the arena's last: each relocates at sizes 1, 2, 4 and 8.
+  constexpr PredicateId kE = 0, kF = 1;
+  constexpr std::uint32_t kTerms = 2500;
+  constexpr std::uint32_t kRounds = 12;
+  std::vector<Term> terms;
+  for (std::uint32_t i = 0; i < kTerms; ++i) {
+    terms.push_back(i % 2 == 0 ? Term::MakeConstant(i) : Term::MakeNull(i));
+  }
+  std::vector<Atom> atoms;
+  for (std::uint32_t r = 0; r < kRounds; ++r) {
+    for (std::uint32_t i = 0; i < kTerms; ++i) {
+      atoms.push_back(Atom(kE, {terms[i], terms[(i * 7 + r + 1) % kTerms]}));
+      atoms.push_back(Atom(kF, {terms[(i + r) % kTerms], terms[i],
+                                terms[(i * 13 + 5 * r) % kTerms]}));
+    }
+  }
+  const std::size_t half = atoms.size() / 2;
+  constexpr std::size_t kMinKeys = 10000;
+  for (StorageKind kind : kBackends) {
+    SCOPED_TRACE(ToString(kind));
+    // 1. Indexes built at atom 0 (a query on the empty store), then grown
+    // one atom at a time; a Clone taken halfway grows on its own.
+    std::unique_ptr<FactStore> incremental = FactStore::Create(kind);
+    EXPECT_TRUE(incremental->AtomsWith(kE, 0, terms[0]).empty());
+    std::unique_ptr<FactStore> clone;
+    for (std::size_t i = 0; i < atoms.size(); ++i) {
+      if (i == half) clone = incremental->Clone();
+      incremental->AddAtom(atoms[i]);
+    }
+    {
+      SCOPED_TRACE("query first");
+      ExpectIndexesMatchScan(*incremental, kMinKeys);
+    }
+    // 2. Indexes built wholesale after one bulk load.
+    std::unique_ptr<FactStore> bulk = FactStore::Create(kind);
+    bulk->AddAtoms(atoms);
+    {
+      SCOPED_TRACE("bulk");
+      ExpectIndexesMatchScan(*bulk, kMinKeys);
+    }
+    // 3. The halfway clone, grown by the second half in reverse order (so
+    // its atom order differs from its source's).
+    {
+      SCOPED_TRACE("clone");
+      ASSERT_EQ(clone->size(), half);
+      for (std::size_t i = atoms.size(); i-- > half;) {
+        clone->AddAtom(atoms[i]);
+      }
+      ExpectIndexesMatchScan(*clone, kMinKeys);
+    }
+    // Each grew its own tail.
+    EXPECT_EQ(incremental->IndexOf(atoms.back()), atoms.size() - 1);
+    EXPECT_EQ(clone->IndexOf(atoms.back()), half);
+  }
+}
+
 // --- Chase transcripts ------------------------------------------------------
 // Bit-identical chase runs on both backends: the full differential
 // observable set (atoms, order, steps, provenance, null numbering), all
@@ -410,27 +518,6 @@ TEST(ColumnStoreTest, LazyMergeKeepsRunCountLogarithmic) {
   EXPECT_GE(inst.size(), 512u);
 }
 
-TEST(ColumnStoreTest, PerPredicateIndexReferenceSurvivesNewPredicates) {
-  // AtomsWith(pred) hands out a reference to the predicate's row index;
-  // it must stay valid when later insertions introduce higher predicate
-  // ids (the per-predicate tables are heap-stable, matching the row
-  // store's node-based map).
-  Universe u;
-  PredicateId e = u.InternPredicate("E", 2);
-  Term a = u.InternConstant("a"), b = u.InternConstant("b");
-  Instance inst(&u, StorageKind::kColumn);
-  inst.AddAtom(Atom(e, {a, b}));
-  const std::vector<std::uint32_t>& rows = inst.AtomsWith(e);
-  ASSERT_EQ(rows.size(), 1u);
-  for (int p = 0; p < 40; ++p) {
-    PredicateId fresh = u.InternPredicate("F" + std::to_string(p), 1);
-    inst.AddAtom(Atom(fresh, {a}));
-  }
-  inst.AddAtom(Atom(e, {b, a}));
-  EXPECT_EQ(rows.size(), 2u);  // same reference, grown in place
-  EXPECT_EQ(rows[0], 1u);
-}
-
 TEST(ColumnStoreTest, EmptyAndAbsentPredicates) {
   Universe u;
   PredicateId e = u.InternPredicate("E", 2);
@@ -446,6 +533,81 @@ TEST(ColumnStoreTest, EmptyAndAbsentPredicates) {
   // The implicit ⊤ is a nullary atom: position lookups must stay empty.
   EXPECT_TRUE(inst.AtomsWith(u.top(), 0, a).empty());
   EXPECT_EQ(inst.AtomsWith(u.top()).size(), 1u);
+}
+
+// --- Per-predicate index and active domain, both backends -------------------
+
+TEST(StorageIndexTest, PerPredicateIndexReferenceSurvivesNewPredicates) {
+  // AtomsWith(pred) hands out a reference to the predicate's row index;
+  // it must stay valid when later insertions introduce higher predicate
+  // ids (both backends keep their dense per-predicate tables heap-stable).
+  for (StorageKind kind : kBackends) {
+    SCOPED_TRACE(ToString(kind));
+    Universe u;
+    PredicateId e = u.InternPredicate("E", 2);
+    Term a = u.InternConstant("a"), b = u.InternConstant("b");
+    Instance inst(&u, kind);
+    inst.AddAtom(Atom(e, {a, b}));
+    const std::vector<std::uint32_t>& rows = inst.AtomsWith(e);
+    ASSERT_EQ(rows.size(), 1u);
+    for (int p = 0; p < 40; ++p) {
+      PredicateId fresh = u.InternPredicate("F" + std::to_string(p), 1);
+      inst.AddAtom(Atom(fresh, {a}));
+    }
+    inst.AddAtom(Atom(e, {b, a}));
+    EXPECT_EQ(rows.size(), 2u);  // same reference, grown in place
+    EXPECT_EQ(rows[0], 1u);
+  }
+}
+
+TEST(StorageIndexTest, ActiveDomainKeepsFirstSeenOrderAcrossRehashes) {
+  // 6000 distinct terms, each first seen in a scattered order: the flat
+  // set rehashes eight times past its initial 64 slots.
+  constexpr PredicateId kE = 0;
+  constexpr std::uint32_t kTerms = 6000;
+  std::vector<Term> terms;
+  for (std::uint32_t i = 0; i < kTerms; ++i) {
+    terms.push_back(i % 3 == 0 ? Term::MakeNull(i) : Term::MakeConstant(i));
+  }
+  std::vector<Atom> atoms;
+  for (std::uint32_t i = 0; i < kTerms; ++i) {
+    atoms.push_back(Atom(kE, {terms[(i * 7919) % kTerms],
+                              terms[(i * 104729 + 1) % kTerms]}));
+  }
+  std::vector<Term> first_seen;
+  std::unordered_set<Term> seen;
+  for (const Atom& atom : atoms) {
+    for (Term t : atom.args()) {
+      if (seen.insert(t).second) first_seen.push_back(t);
+    }
+  }
+  const Term absent_constant = Term::MakeConstant(kTerms + 1);
+  const Term absent_null = Term::MakeNull(kTerms + 1);
+  for (StorageKind kind : kBackends) {
+    SCOPED_TRACE(ToString(kind));
+    std::unique_ptr<FactStore> store = FactStore::Create(kind);
+    EXPECT_FALSE(store->InActiveDomain(terms[0]));  // no table yet
+    for (const Atom& atom : atoms) store->AddAtom(atom);
+    ASSERT_EQ(store->ActiveDomain(), first_seen);
+    for (Term t : first_seen) ASSERT_TRUE(store->InActiveDomain(t));
+    EXPECT_FALSE(store->InActiveDomain(absent_constant));
+    EXPECT_FALSE(store->InActiveDomain(absent_null));
+    EXPECT_FALSE(store->InActiveDomain(Term()));
+    // A clone answers the same, and the two grow independently.
+    std::unique_ptr<FactStore> clone = store->Clone();
+    EXPECT_EQ(clone->ActiveDomain(), first_seen);
+    for (Term t : first_seen) ASSERT_TRUE(clone->InActiveDomain(t));
+    EXPECT_FALSE(clone->InActiveDomain(absent_constant));
+    clone->AddAtom(Atom(kE, {absent_constant, terms[0]}));
+    store->AddAtom(Atom(kE, {absent_null, terms[0]}));
+    EXPECT_TRUE(clone->InActiveDomain(absent_constant));
+    EXPECT_FALSE(clone->InActiveDomain(absent_null));
+    EXPECT_TRUE(store->InActiveDomain(absent_null));
+    EXPECT_FALSE(store->InActiveDomain(absent_constant));
+    EXPECT_EQ(clone->ActiveDomain().back(), absent_constant);
+    EXPECT_EQ(store->ActiveDomain().back(), absent_null);
+    EXPECT_EQ(clone->ActiveDomain().size(), first_seen.size() + 1);
+  }
 }
 
 // --- SortedRuns lifetime ----------------------------------------------------
